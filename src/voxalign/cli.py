@@ -3,7 +3,8 @@
 Subcommands: ``gen-data``, ``train``, ``eval``, ``analyze``,
 ``backproject``, ``gradcheck``. Every command is deterministic given its
 inputs and ``--seed``; outputs carry no timestamps, so reruns into a fresh
-(or ``--force``-cleared) directory are byte-identical.
+(or ``--force``-replaced) directory are byte-identical. A command writes
+into a sibling staging directory that replaces ``--out`` only on success.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure.
@@ -12,7 +13,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
+import os
 import shutil
 import sys
 from dataclasses import replace
@@ -32,8 +35,18 @@ from .errors import (
     VoxalignError,
 )
 from .lasso import backproject
-from .model import ModelConfig, image_branch_forward, image_paths, load_params, save_params, text_branch_forward
+from .model import (
+    VARIANTS,
+    ModelConfig,
+    desk_config,
+    image_branch_forward,
+    image_paths,
+    load_params,
+    save_params,
+    text_branch_forward,
+)
 from .training import (
+    EVAL_FIELDS,
     TrainConfig,
     evaluate,
     layer_range_scan,
@@ -48,22 +61,43 @@ from .verification import run_all
 _USAGE_ERRORS = (UsageError, FormatError, ShapeMismatch, DegenerateInput, RangeError)
 _NUMERICAL_ERRORS = (NumericalFailure, InvalidState)
 
-VARIANT_CHOICES = ("full", "full_no_crec", "text_semantic", "text_detail", "text_only")
+SYNTH_SCHEMA = cfgmod.schema(SynthConfig())
+TRAIN_SCHEMA = cfgmod.schema(TrainConfig())
+# The other model fields come from the dataset.
+MODEL_SCHEMA = cfgmod.schema(desk_config(), ("latent_dim", "dropout_codec", "dropout_backbone"))
+ANALYZE_SCHEMA = {
+    "rsa_mode": ("str", "raw"),
+    "ridge_lambda": ("float", "1.0"),
+    "scan_ranges": ("str", "2-5,2-5+final,1-4,1-4+final"),
+    "scan_epochs": ("int", "60"),
+    **MODEL_SCHEMA,
+    **TRAIN_SCHEMA,
+}
 
 
-def _prepare_out_dir(path: str, force: bool) -> Path:
+@contextlib.contextmanager
+def _output_dir(path: str, force: bool):
+    """Yield a fresh sibling directory that replaces ``path`` only when the
+    block succeeds, so a failed command leaves earlier output intact."""
     out = Path(path)
     if out.exists():
         if not out.is_dir():
             raise UsageError(f"output path {out} exists and is not a directory")
-        if any(out.iterdir()):
-            if not force:
-                raise UsageError(f"output directory {out} is not empty (use --force)")
-            shutil.rmtree(out)
-            out.mkdir(parents=True)
-    else:
-        out.mkdir(parents=True)
-    return out
+        if any(out.iterdir()) and not force:
+            raise UsageError(f"output directory {out} is not empty (use --force)")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = out.parent / f".{out.name}.partial-{os.getpid()}"
+    retired = out.parent / f".{out.name}.old-{os.getpid()}"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir()
+    try:
+        yield staging
+        if out.exists():
+            out.rename(retired)
+        staging.rename(out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def _load_dataset_arg(path: str) -> Dataset:
@@ -77,81 +111,55 @@ def _read_config(path) -> dict:
     return cfgmod.read_config_file(path) if path else {}
 
 
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        learning_rate=resolved["learning_rate"],
-        beta1=resolved["beta1"],
-        beta2=resolved["beta2"],
-        epsilon=resolved["epsilon"],
-        seed=seed,
-        weight_cka=resolved["weight_cka"],
-        weight_sims=resolved["weight_sims"],
-        weight_crec=resolved["weight_crec"],
-        anchor_mode=resolved["anchor_mode"],
-        detail_layer_lo=resolved["detail_layer_lo"],
-        detail_layer_hi=resolved["detail_layer_hi"],
-        semantic_target_from_final=resolved["semantic_target_from_final"],
-        separate_branches=resolved["separate_branches"],
-        text_batch_size=resolved["text_batch_size"],
-        image_batch_size=resolved["image_batch_size"],
-        eval_similarity=resolved["eval_similarity"],
-    )
+def _pick(resolved: dict, schema: dict) -> dict:
+    return {key: resolved[key] for key in schema}
 
 
 def _model_config(resolved: dict, dataset: Dataset) -> ModelConfig:
     return ModelConfig(
         n_semantic_voxels=dataset.mask.n_semantic,
         n_detail_voxels=dataset.mask.n_detail,
-        latent_dim=resolved["latent_dim"],
         text_tokens=int(dataset.meta["text_tokens"]),
         text_dim=int(dataset.meta["text_dim"]),
         image_tokens=int(dataset.meta["image_tokens"]),
         image_dim=int(dataset.meta["image_dim"]),
-        dropout_codec=resolved["dropout_codec"],
-        dropout_backbone=resolved["dropout_backbone"],
+        **_pick(resolved, MODEL_SCHEMA),
     )
 
 
-def cmd_gen_data(args) -> int:
-    resolved = cfgmod.resolve(_read_config(args.config), cfgmod.SYNTH_SCHEMA)
-    synth_cfg = SynthConfig(**resolved, seed=args.seed)
-    out = _prepare_out_dir(args.out, args.force)
-    dataset = synth_generate(synth_cfg)
+def cmd_gen_data(args, out: Path) -> int:
+    resolved = cfgmod.resolve(_read_config(args.config), SYNTH_SCHEMA)
+    dataset = synth_generate(SynthConfig(**resolved, seed=args.seed))
     save_dataset(dataset, out)
     cfgmod.write_resolved({**resolved, "seed": args.seed}, out / "resolved.cfg")
     if not args.quiet:
-        print(f"generated {dataset.n} stimuli ({dataset.n_train} train / {dataset.n_test} test) in {out}")
+        print(f"generated {dataset.n} stimuli ({dataset.n_train} train / {dataset.n_test} test) in {Path(args.out)}")
     return 0
 
 
-def _targets_cfg_lines(train_cfg: TrainConfig, dataset: Dataset) -> dict:
+def _eval_settings(train_cfg: TrainConfig, dataset: Dataset) -> dict:
+    """The settings ``evaluate`` reads, with the detail layer range made concrete."""
     lo, hi = resolve_layer_range(train_cfg, dataset.layers)
-    return {
-        "detail_layer_lo": lo,
-        "detail_layer_hi": hi,
-        "semantic_target_from_final": train_cfg.semantic_target_from_final,
-    }
+    resolved = replace(train_cfg, detail_layer_lo=lo, detail_layer_hi=hi)
+    return {key: getattr(resolved, key) for key in EVAL_FIELDS}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
     raw = _read_config(args.config)
     model_resolved = cfgmod.resolve(
-        {k: v for k, v in raw.items() if k in cfgmod.MODEL_SCHEMA}, cfgmod.MODEL_SCHEMA
+        {k: v for k, v in raw.items() if k in MODEL_SCHEMA}, MODEL_SCHEMA
     )
     train_resolved = cfgmod.resolve(
-        {k: v for k, v in raw.items() if k not in cfgmod.MODEL_SCHEMA}, cfgmod.TRAIN_SCHEMA
+        {k: v for k, v in raw.items() if k not in MODEL_SCHEMA}, TRAIN_SCHEMA
     )
     model_cfg = _model_config(model_resolved, dataset)
-    train_cfg = _train_config(train_resolved, args.seed)
-    out = _prepare_out_dir(args.out, args.force)
+    train_cfg = TrainConfig(**train_resolved, seed=args.seed)
 
     params, report, metrics = run_ablation(args.variant, dataset, model_cfg, train_cfg)
     ckpt_dir = out / "checkpoint"
     save_params(params, ckpt_dir)
-    targets = _targets_cfg_lines(train_cfg, dataset)
+    targets = _eval_settings(train_cfg, dataset)
     cfgmod.write_resolved(targets, ckpt_dir / "targets.cfg")
     write_loss_history_csv(report, out / "loss_history.csv")
     (out / "metrics.json").write_text(
@@ -185,22 +193,16 @@ def _checkpoint_train_cfg(ckpt_dir: Path, seed: int) -> TrainConfig:
     if not targets_path.exists():
         raise UsageError(f"checkpoint {ckpt_dir} has no targets.cfg")
     raw = cfgmod.read_config_file(targets_path)
-    return TrainConfig(
-        seed=seed,
-        detail_layer_lo=int(raw["detail_layer_lo"]),
-        detail_layer_hi=int(raw["detail_layer_hi"]),
-        semantic_target_from_final=cfgmod.PARSERS["bool"](raw["semantic_target_from_final"]),
-    )
+    return TrainConfig(**cfgmod.resolve(raw, TRAIN_SCHEMA), seed=seed)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, out: Path) -> int:
     ckpt_dir = Path(args.ckpt)
     if not ckpt_dir.is_dir():
         raise UsageError(f"checkpoint directory {ckpt_dir} does not exist")
     params = load_params(ckpt_dir)
     dataset = _load_dataset_arg(args.data)
     train_cfg = _checkpoint_train_cfg(ckpt_dir, args.seed)
-    out = _prepare_out_dir(args.out, args.force)
     metrics = evaluate(params, dataset, train_cfg)
     (out / "metrics.json").write_text(
         metrics_report_json(params.variant, args.seed, metrics, None), encoding="utf-8"
@@ -210,23 +212,19 @@ def cmd_eval(args) -> int:
             "ckpt": args.ckpt,
             "data": args.data,
             "seed": args.seed,
-            "detail_layer_lo": train_cfg.detail_layer_lo,
-            "detail_layer_hi": train_cfg.detail_layer_hi,
-            "semantic_target_from_final": train_cfg.semantic_target_from_final,
-            "eval_similarity": train_cfg.eval_similarity,
+            **{key: getattr(train_cfg, key) for key in EVAL_FIELDS},
         },
         out / "resolved.cfg",
     )
     if not args.quiet:
-        print(f"wrote metrics for variant={params.variant} to {out / 'metrics.json'}")
+        print(f"wrote metrics for variant={params.variant} to {Path(args.out) / 'metrics.json'}")
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
     raw = _read_config(args.config)
-    resolved = cfgmod.resolve(raw, cfgmod.ANALYZE_SCHEMA)
-    out = _prepare_out_dir(args.out, args.force)
+    resolved = cfgmod.resolve(raw, ANALYZE_SCHEMA)
 
     if args.mode == "rsa":
         voxels_sem, _ = split_regions(dataset.voxels, dataset.mask)
@@ -248,7 +246,7 @@ def cmd_analyze(args) -> int:
     else:  # layer-scan
         model_cfg = _model_config(resolved, dataset)
         train_cfg = replace(
-            _train_config(resolved, args.seed), epochs=resolved["scan_epochs"]
+            TrainConfig(**_pick(resolved, TRAIN_SCHEMA), seed=args.seed), epochs=resolved["scan_epochs"]
         )
         ranges = parse_scan_ranges(resolved["scan_ranges"])
         rows = layer_range_scan(dataset, ranges, model_cfg, train_cfg)
@@ -262,11 +260,11 @@ def cmd_analyze(args) -> int:
         out / "resolved.cfg",
     )
     if not args.quiet:
-        print(f"wrote {out / written}")
+        print(f"wrote {Path(args.out) / written}")
     return 0
 
 
-def cmd_backproject(args) -> int:
+def cmd_backproject(args, out: Path) -> int:
     ckpt_dir = Path(args.ckpt)
     if not ckpt_dir.is_dir():
         raise UsageError(f"checkpoint directory {ckpt_dir} does not exist")
@@ -274,7 +272,6 @@ def cmd_backproject(args) -> int:
         raise UsageError("--lambda must be positive")
     params = load_params(ckpt_dir)
     dataset = _load_dataset_arg(args.data)
-    out = _prepare_out_dir(args.out, args.force)
 
     tr = dataset.train_slice
     voxels_sem, voxels_det = split_regions(dataset.voxels, dataset.mask)
@@ -307,11 +304,11 @@ def cmd_backproject(args) -> int:
         out / "resolved.cfg",
     )
     if not args.quiet:
-        print(f"wrote {len(feature_sets)} back-projection tables to {out}")
+        print(f"wrote {len(feature_sets)} back-projection tables to {Path(args.out)}")
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, out: Path) -> int:
     results = run_all()
     failed = False
     for result in results:
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", default="full", choices=VARIANT_CHOICES)
+    p.add_argument("--variant", default="full", choices=VARIANTS)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -380,7 +377,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO)
     try:
-        return args.func(args)
+        if getattr(args, "out", None) is None:
+            return args.func(args, None)
+        with _output_dir(args.out, args.force) as out:
+            return args.func(args, out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,10 +4,13 @@ Files hold one ``key=value`` pair per line; blank lines and ``#`` comments
 are ignored. Unknown keys are hard errors (anti-typo contract), and every
 command writes the fully resolved configuration, defaults included, next
 to its outputs so a run is reconstructible from its output directory.
+Schemas are read off the config dataclasses, so each default lives only
+on its dataclass field.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import UsageError
@@ -54,60 +57,23 @@ PARSERS = {
     "int_or_auto": _parse_int_or_auto,
 }
 
-# Schemas: key -> (parser name, default value as it appears in a file).
-SYNTH_SCHEMA = {
-    "n_train": ("int", "512"),
-    "n_test": ("int", "64"),
-    "n_low_voxels": ("int", "80"),
-    "n_high_voxels": ("int", "60"),
-    "k_semantic": ("int", "12"),
-    "k_detail": ("int", "16"),
-    "n_layers": ("int", "6"),
-    "alpha_schedule": ("float_list", "0.9,0.72,0.54,0.36,0.18,0.0"),
-    "noise_voxel_low": ("float", "0.1"),
-    "noise_voxel_high": ("float", "0.1"),
-    "noise_layer": ("float", "0.1"),
-    "noise_caption": ("float", "0.25"),
-    "text_tokens": ("int", "8"),
-    "text_dim": ("int", "16"),
-    "image_tokens": ("int", "12"),
-    "image_dim": ("int", "16"),
-}
 
-MODEL_SCHEMA = {
-    "latent_dim": ("int", "128"),
-    "dropout_codec": ("float", "0.15"),
-    "dropout_backbone": ("float", "0.5"),
-}
+def _parser_name(default) -> str:
+    if default is None:
+        return "int_or_auto"
+    if isinstance(default, tuple):
+        return "float_list"
+    return type(default).__name__  # bool, int, float or str
 
-TRAIN_SCHEMA = {
-    "epochs": ("int", "200"),
-    "batch_size": ("int", "32"),
-    "learning_rate": ("float", "3e-4"),
-    "beta1": ("float", "0.9"),
-    "beta2": ("float", "0.999"),
-    "epsilon": ("float", "1e-8"),
-    "weight_cka": ("float", "1.0"),
-    "weight_sims": ("float", "1.0"),
-    "weight_crec": ("float", "1.0"),
-    "anchor_mode": ("str", "own_first_token"),
-    "detail_layer_lo": ("int_or_auto", "auto"),
-    "detail_layer_hi": ("int_or_auto", "auto"),
-    "semantic_target_from_final": ("bool", "true"),
-    "separate_branches": ("bool", "false"),
-    "text_batch_size": ("int_or_auto", "auto"),
-    "image_batch_size": ("int_or_auto", "auto"),
-    "eval_similarity": ("str", "pearson"),
-}
 
-ANALYZE_SCHEMA = {
-    "rsa_mode": ("str", "raw"),
-    "ridge_lambda": ("float", "1.0"),
-    "scan_ranges": ("str", "2-5,2-5+final,1-4,1-4+final"),
-    "scan_epochs": ("int", "60"),
-    **MODEL_SCHEMA,
-    **TRAIN_SCHEMA,
-}
+def schema(defaults, names=None) -> dict:
+    """Schema ``key -> (parser name, default as it appears in a file)`` read
+    off a dataclass instance's fields (all but ``seed``, or just ``names``)."""
+    keys = names or [f.name for f in fields(defaults) if f.name != "seed"]
+    return {
+        key: (_parser_name(getattr(defaults, key)), format_value(getattr(defaults, key)))
+        for key in keys
+    }
 
 
 def read_config_file(path) -> dict:

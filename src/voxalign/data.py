@@ -17,13 +17,14 @@ of detail voxels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._arrays import as_matrix
 from .alignment import LayerStack
+from .config import format_value
 from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch
 from .matio import load_matrix, save_matrix
 from .rng import Rng
@@ -184,17 +185,20 @@ class Dataset:
         """Per-stimulus caption average, shape (n, text_tokens, text_dim)."""
         return np.stack([average_captions(c) for c in self.captions])
 
-    def image_targets(self, layer_lo: int, layer_hi: int):
-        """(detail, semantic, fused) targets, each (n, image_tokens, image_dim).
+    def image_targets(self, layer_lo: int, layer_hi: int, semantic_from_final: bool) -> dict:
+        """Per-path image targets ``{"sem": ..., "det": ...}``, each (n, image_tokens, image_dim).
 
         The detail target averages the planted layers in [layer_lo, layer_hi];
-        the semantic target is the final layer; fused is their mean.
+        the semantic target is the final layer, or the same average when
+        ``semantic_from_final`` is false (the layer scan's setting).
         """
         tokens, dim = self.image_token_shape
         det = average_layers(self.layers, layer_lo, layer_hi).reshape(self.n, tokens, dim)
-        sem = self.layers.layer(self.layers.final_id).reshape(self.n, tokens, dim)
-        fused = fuse_targets(det, sem)
-        return det, sem, fused
+        if semantic_from_final:
+            sem = self.layers.layer(self.layers.final_id).reshape(self.n, tokens, dim)
+        else:
+            sem = det
+        return {"sem": sem, "det": det}
 
 
 def average_captions(embeddings) -> np.ndarray:
@@ -221,13 +225,21 @@ def average_layers(stack: LayerStack, lo: int, hi: int) -> np.ndarray:
     return np.mean(selected, axis=0)
 
 
-def fuse_targets(detail, semantic) -> np.ndarray:
-    """Elementwise two-term average of the detail and semantic targets."""
-    d = np.asarray(detail, dtype=np.float64)
-    s = np.asarray(semantic, dtype=np.float64)
-    if d.shape != s.shape:
-        raise ShapeMismatch(f"fuse_targets: shapes {d.shape} and {s.shape} differ")
-    return 0.5 * (d + s)
+def fuse_targets(*arrays) -> np.ndarray:
+    """Elementwise mean of equal-shape per-path arrays (targets or predictions).
+
+    This is the image branch's fusion rule; with one path it is the identity.
+    """
+    if not arrays:
+        raise DegenerateInput("fuse_targets needs at least one array")
+    arrs = [np.asarray(a, dtype=np.float64) for a in arrays]
+    for a in arrs[1:]:
+        if a.shape != arrs[0].shape:
+            raise ShapeMismatch(f"fuse_targets: shapes {arrs[0].shape} and {a.shape} differ")
+    total = arrs[0]
+    for a in arrs[1:]:
+        total = total + a
+    return total / len(arrs)
 
 
 def synth_generate(cfg: SynthConfig) -> Dataset:
@@ -281,25 +293,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
             ]
         )
 
-    meta = {
-        "n_train": str(cfg.n_train),
-        "n_test": str(cfg.n_test),
-        "n_low_voxels": str(cfg.n_low_voxels),
-        "n_high_voxels": str(cfg.n_high_voxels),
-        "k_semantic": str(cfg.k_semantic),
-        "k_detail": str(cfg.k_detail),
-        "n_layers": str(cfg.n_layers),
-        "alpha_schedule": ",".join(repr(a) for a in cfg.alpha_schedule),
-        "noise_voxel_low": repr(cfg.noise_voxel_low),
-        "noise_voxel_high": repr(cfg.noise_voxel_high),
-        "noise_layer": repr(cfg.noise_layer),
-        "noise_caption": repr(cfg.noise_caption),
-        "text_tokens": str(cfg.text_tokens),
-        "text_dim": str(cfg.text_dim),
-        "image_tokens": str(cfg.image_tokens),
-        "image_dim": str(cfg.image_dim),
-        "seed": str(cfg.seed),
-    }
+    meta = {f.name: format_value(getattr(cfg, f.name)) for f in fields(cfg)}
     return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)
 
 

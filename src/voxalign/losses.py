@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import as_array, as_matrix, require_same_shape
+from .data import fuse_targets
 from .errors import DegenerateInput, NumericalFailure, ShapeMismatch
 from .linalg import apply_centering
 
@@ -50,7 +51,7 @@ class MgLoss:
 
 @dataclass(frozen=True)
 class CrecLoss:
-    """Reconstruction loss over the two direct and two cross decoder paths."""
+    """Reconstruction loss over the direct and cross decoder paths."""
 
     value: float
     grad_recon_sem_direct: np.ndarray
@@ -224,37 +225,44 @@ def crec_loss(
     recon_det_direct,
     recon_sem_cross,
 ) -> CrecLoss:
-    """Sum of four reconstruction MSE terms over direct and cross paths.
+    """Sum of the reconstruction MSE terms over direct and cross paths.
 
     Each term compares a decoder output against the signal living in that
     decoder's output space: the semantic decoder reconstructs the semantic
     voxels (from either latent code) and the detail decoder reconstructs
-    the detail voxels (from either latent code).
+    the detail voxels (from either latent code). A term whose
+    reconstruction is None (its path is absent) is left out; its gradient
+    and its entry in ``terms`` are None.
     """
-    f_s = as_array(voxels_sem, "voxels_sem")
-    f_d = as_array(voxels_det, "voxels_det")
+    signals = {"voxels_sem": voxels_sem, "voxels_det": voxels_det}
+    converted = {}
     pieces = (
-        ("direct semantic reconstruction", f_s, as_array(recon_sem_direct, "recon_sem_direct")),
-        ("cross detail reconstruction", f_d, as_array(recon_det_cross, "recon_det_cross")),
-        ("direct detail reconstruction", f_d, as_array(recon_det_direct, "recon_det_direct")),
-        ("cross semantic reconstruction", f_s, as_array(recon_sem_cross, "recon_sem_cross")),
+        ("direct semantic reconstruction", "voxels_sem", "recon_sem_direct", recon_sem_direct),
+        ("cross detail reconstruction", "voxels_det", "recon_det_cross", recon_det_cross),
+        ("direct detail reconstruction", "voxels_det", "recon_det_direct", recon_det_direct),
+        ("cross semantic reconstruction", "voxels_sem", "recon_sem_cross", recon_sem_cross),
     )
-    losses = []
-    for label, tgt, rec in pieces:
+    value = 0.0
+    grads = []
+    terms = []
+    for label, signal, name, recon in pieces:
+        if recon is None:
+            grads.append(None)
+            terms.append(None)
+            continue
+        if signal not in converted:
+            converted[signal] = as_array(signals[signal], signal)
+        tgt = converted[signal]
+        rec = as_array(recon, name)
         if tgt.shape != rec.shape:
             raise ShapeMismatch(
                 f"{label}: target shape {tgt.shape} vs reconstruction {rec.shape}"
             )
-        losses.append(mse_loss(tgt, rec))
-    value = losses[0].value + losses[1].value + losses[2].value + losses[3].value
-    return CrecLoss(
-        value,
-        losses[0].grad,
-        losses[1].grad,
-        losses[2].grad,
-        losses[3].grad,
-        terms=tuple(l.value for l in losses),
-    )
+        loss = mse_loss(tgt, rec)
+        value += loss.value
+        grads.append(loss.grad)
+        terms.append(loss.value)
+    return CrecLoss(value, *grads, terms=tuple(terms))
 
 
 def text_total_loss(
@@ -299,14 +307,19 @@ def image_total_loss(
 ) -> ImageLoss:
     """Image-branch objective over the fused prediction.
 
-    The fused prediction is the mean of the two path predictions, so the
-    multi-granularity gradient splits in half between them; the per-path
-    MSE terms add their own gradients on top.
+    An absent path passes None for its prediction, target and
+    reconstructions, and gets None gradients and MSE value. The fused
+    prediction is the mean of the present path predictions (the identity
+    with one path), so the multi-granularity gradient splits evenly between
+    them; the per-path MSE terms add their own gradients on top. The fused
+    target is the caller's; training passes the mean of the path targets.
     """
-    ps = as_matrix(pred_sem_emb, "pred_sem_emb")
-    pd = as_matrix(pred_det_emb, "pred_det_emb")
-    require_same_shape(ps, pd, "image_total_loss predictions")
-    fused_pred = 0.5 * (ps + pd)
+    preds = {
+        path: as_matrix(pred, name)
+        for path, name, pred in (("sem", "pred_sem_emb", pred_sem_emb), ("det", "pred_det_emb", pred_det_emb))
+        if pred is not None
+    }
+    fused_pred = fuse_targets(*preds.values())
     mg = mg_loss(fused_target, fused_pred, anchor, weight_cka, weight_sims)
     crec = crec_loss(
         voxels_sem,
@@ -316,24 +329,31 @@ def image_total_loss(
         recon_det_direct,
         recon_sem_cross,
     )
-    sem_mse = mse_loss(sem_emb_target, ps)
-    det_mse = mse_loss(det_emb_target, pd)
-    value = mg.value + weight_crec * crec.value + sem_mse.value + det_mse.value
-    half_mg = 0.5 * mg.grad
+    targets = {"sem": sem_emb_target, "det": det_emb_target}
+    mses = {path: mse_loss(targets[path], pred) for path, pred in preds.items()}
+    value = mg.value + weight_crec * crec.value
+    for mse in mses.values():
+        value += mse.value
+    share = mg.grad / len(preds)
+    grads = {path: share + mse.grad for path, mse in mses.items()}
+
+    def scaled(grad):
+        return None if grad is None else weight_crec * grad
+
     return ImageLoss(
         value=float(value),
-        grad_pred_sem_emb=half_mg + sem_mse.grad,
-        grad_pred_det_emb=half_mg + det_mse.grad,
-        grad_recon_sem_direct=weight_crec * crec.grad_recon_sem_direct,
-        grad_recon_det_cross=weight_crec * crec.grad_recon_det_cross,
-        grad_recon_det_direct=weight_crec * crec.grad_recon_det_direct,
-        grad_recon_sem_cross=weight_crec * crec.grad_recon_sem_cross,
+        grad_pred_sem_emb=grads.get("sem"),
+        grad_pred_det_emb=grads.get("det"),
+        grad_recon_sem_direct=scaled(crec.grad_recon_sem_direct),
+        grad_recon_det_cross=scaled(crec.grad_recon_det_cross),
+        grad_recon_det_direct=scaled(crec.grad_recon_det_direct),
+        grad_recon_sem_cross=scaled(crec.grad_recon_sem_cross),
         mg_value=mg.value,
         cka_value=mg.cka_value,
         sims_value=mg.sims_value,
         crec_value=crec.value,
-        sem_mse_value=sem_mse.value,
-        det_mse_value=det_mse.value,
+        sem_mse_value=mses["sem"].value if "sem" in mses else None,
+        det_mse_value=mses["det"].value if "det" in mses else None,
     )
 
 

@@ -13,16 +13,23 @@ while encoders and decoders change width and do not. Output decoders are
 plain affine maps (signed targets). Dropout masks are recorded during
 training forwards so the backward pass and finite-difference replays see
 exactly the same network.
+
+Each branch is an ordered block list derived from its active paths (see
+:func:`_plan`); one forward and one backward walker run every variant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ._arrays import as_matrix
+from .config import PARSERS, format_value
+from .data import SynthConfig, fuse_targets
 from .errors import (
     DegenerateInput,
     FormatError,
@@ -32,7 +39,15 @@ from .errors import (
 from .matio import load_matrix, save_matrix
 from .rng import Rng
 
-VARIANTS = ("full", "full_no_crec", "text_semantic", "text_detail", "text_only")
+# Structural variant -> active image-branch paths, in block order.
+_VARIANT_PATHS = {
+    "full": ("sem", "det"),
+    "full_no_crec": ("sem", "det"),
+    "text_semantic": ("sem",),
+    "text_detail": ("det",),
+    "text_only": (),
+}
+VARIANTS = tuple(_VARIANT_PATHS)
 
 
 @dataclass(frozen=True)
@@ -55,99 +70,125 @@ class ModelConfig:
     dropout_backbone: float = 0.5
 
     def __post_init__(self):
-        for name in (
-            "n_semantic_voxels",
-            "n_detail_voxels",
-            "latent_dim",
-            "text_tokens",
-            "text_dim",
-            "image_tokens",
-            "image_dim",
-        ):
-            if int(getattr(self, name)) < 1:
-                raise DegenerateInput(f"{name} must be >= 1")
-        for name in ("dropout_codec", "dropout_backbone"):
-            rate = float(getattr(self, name))
-            if not 0.0 <= rate < 1.0:
-                raise DegenerateInput(f"{name} must lie in [0, 1), got {rate}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and int(value) < 1:
+                raise DegenerateInput(f"{f.name} must be >= 1")
+            if f.type == "float" and not 0.0 <= float(value) < 1.0:
+                raise DegenerateInput(f"{f.name} must lie in [0, 1), got {float(value)}")
 
 
-def desk_config(n_semantic_voxels: int = 60, n_detail_voxels: int = 140) -> ModelConfig:
-    """Default desk-scale configuration used throughout tests and demos."""
+def desk_config() -> ModelConfig:
+    """Desk-scale model for a dataset of default :class:`SynthConfig` shape."""
+    synth = SynthConfig()
     return ModelConfig(
-        n_semantic_voxels=n_semantic_voxels,
-        n_detail_voxels=n_detail_voxels,
+        n_semantic_voxels=synth.n_high_voxels,
+        n_detail_voxels=synth.n_detail_voxels,
         latent_dim=128,
-        text_tokens=8,
-        text_dim=16,
-        image_tokens=12,
-        image_dim=16,
+        text_tokens=synth.text_tokens,
+        text_dim=synth.text_dim,
+        image_tokens=synth.image_tokens,
+        image_dim=synth.image_dim,
     )
 
 
 def image_paths(variant: str) -> tuple:
     """Image-branch paths present under a structural variant."""
-    if variant not in VARIANTS:
+    if variant not in _VARIANT_PATHS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant in ("full", "full_no_crec"):
-        return ("sem", "det")
-    if variant == "text_semantic":
-        return ("sem",)
-    if variant == "text_detail":
-        return ("det",)
-    return ()
+    return _VARIANT_PATHS[variant]
+
+
+class _Block(NamedTuple):
+    """One block application: reads activation ``src``, writes ``dst``."""
+
+    weight: str
+    bias: str
+    key: str  # cache entry and dropout-mask name
+    src: str
+    dst: str
+    kind: str  # "encoder", "decoder", "backbone" or "output"
+    n_in: str  # width names, see _widths
+    n_out: str
+
+
+def _block(tensor, key, src, dst, kind, n_in, n_out) -> _Block:
+    return _Block(f"{tensor}.W", f"{tensor}.b", key, src, dst, kind, n_in, n_out)
+
+
+# Per-branch names; the text branch has one path and no per-path suffixes.
+_NAMES = {
+    "text": dict(
+        encoder="text.encoder", decoder="text.decoder", decoder_key="text.decoder",
+        trunk_key="text.{block}", code="code", recon="recon_sem", pred="pred_emb",
+    ),
+    "image": dict(
+        encoder="image.encoder_{p}", decoder="image.decoder_{q}",
+        decoder_key="image.decoder_{q}@{how}", trunk_key="image.{block}@{p}",
+        code="code_{p}", recon="recon_{q}_{how}", pred="pred_{p}_emb",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(branch: str, paths: tuple) -> tuple:
+    """(forward, backward) block orders of a branch with the given paths.
+
+    The blocks form three stages: an encoder per path; the decoders of each
+    source path, direct then cross; and the shared trunk
+    ``backbone1 -> backbone2 -> output`` per path. Forward runs everything
+    in order, which is also the order of the dropout draws. Backward runs
+    the stages in reverse, each stage's chains in forward order and each
+    chain's blocks in reverse, so every code gradient sums its trunk term
+    first and then its decoder terms in forward order.
+    """
+    names = _NAMES[branch]
+    encoders, decoders, trunks = [], [], []
+    for p in paths:
+        code = names["code"].format(p=p)
+        encoder = names["encoder"].format(p=p)
+        encoders.append([_block(encoder, encoder, f"voxels_{p}", code, "encoder", p, "latent")])
+        for q in (p,) + tuple(other for other in paths if other != p):
+            how = "direct" if q == p else "cross"
+            decoders.append([_block(
+                names["decoder"].format(q=q), names["decoder_key"].format(q=q, how=how),
+                code, names["recon"].format(q=q, how=how), "decoder", "latent", q,
+            )])
+        h1, h2, out = (names["trunk_key"].format(block=b, p=p) for b in ("backbone1", "backbone2", "output"))
+        trunks.append([
+            _block(f"{branch}.backbone1", h1, code, h1, "backbone", "latent", "latent"),
+            _block(f"{branch}.backbone2", h2, h1, h2, "backbone", "latent", "latent"),
+            _block(f"{branch}.output", out, h2, names["pred"].format(p=p), "output", "latent", branch),
+        ])
+    stages = (encoders, decoders, trunks)
+    forward = tuple(b for stage in stages for chain in stage for b in chain)
+    backward = tuple(b for stage in reversed(stages) for chain in stage for b in reversed(chain))
+    return forward, backward
+
+
+def _widths(cfg: ModelConfig) -> dict:
+    return {
+        "sem": cfg.n_semantic_voxels,
+        "det": cfg.n_detail_voxels,
+        "latent": cfg.latent_dim,
+        "text": cfg.text_tokens * cfg.text_dim,
+        "image": cfg.image_tokens * cfg.image_dim,
+    }
 
 
 def expected_tensors(cfg: ModelConfig, variant: str = "full") -> dict:
     """Tensor name -> shape map for a variant; biases are 1-D."""
-    n_s = cfg.n_semantic_voxels
-    n_d = cfg.n_detail_voxels
-    lat = cfg.latent_dim
-    text_out = cfg.text_tokens * cfg.text_dim
-    image_out = cfg.image_tokens * cfg.image_dim
-    shapes = {
-        "text.encoder.W": (n_s, lat),
-        "text.encoder.b": (lat,),
-        "text.decoder.W": (lat, n_s),
-        "text.decoder.b": (n_s,),
-        "text.backbone1.W": (lat, lat),
-        "text.backbone1.b": (lat,),
-        "text.backbone2.W": (lat, lat),
-        "text.backbone2.b": (lat,),
-        "text.output.W": (lat, text_out),
-        "text.output.b": (text_out,),
-    }
-    paths = image_paths(variant)
-    if paths:
-        shapes.update(
-            {
-                "image.backbone1.W": (lat, lat),
-                "image.backbone1.b": (lat,),
-                "image.backbone2.W": (lat, lat),
-                "image.backbone2.b": (lat,),
-                "image.output.W": (lat, image_out),
-                "image.output.b": (image_out,),
-            }
-        )
-    if "sem" in paths:
-        shapes.update(
-            {
-                "image.encoder_sem.W": (n_s, lat),
-                "image.encoder_sem.b": (lat,),
-                "image.decoder_sem.W": (lat, n_s),
-                "image.decoder_sem.b": (n_s,),
-            }
-        )
-    if "det" in paths:
-        shapes.update(
-            {
-                "image.encoder_det.W": (n_d, lat),
-                "image.encoder_det.b": (lat,),
-                "image.decoder_det.W": (lat, n_d),
-                "image.decoder_det.b": (n_d,),
-            }
-        )
-    return shapes
+    return dict(_tensor_shapes(cfg, variant))
+
+
+@functools.lru_cache(maxsize=64)
+def _tensor_shapes(cfg: ModelConfig, variant: str) -> tuple:
+    widths = _widths(cfg)
+    shapes = {}
+    for blk in _plan("text", ("sem",))[0] + _plan("image", image_paths(variant))[0]:
+        shapes[blk.weight] = (widths[blk.n_in], widths[blk.n_out])
+        shapes[blk.bias] = (widths[blk.n_out],)
+    return tuple(shapes.items())
 
 
 @dataclass
@@ -221,11 +262,6 @@ def _apply_layer(x, weight, bias, rate, rng, masks, key, caches, residual, train
     y = x + dropped if residual else dropped
     caches[key] = {"x": x, "z": z, "mask": mask}
     return y
-
-
-def _apply_output(x, weight, bias, key, caches):
-    caches[key] = {"x": x}
-    return x @ weight + bias
 
 
 def mlp_block_forward(x, weight, bias, dropout_rate, rng: Rng = None, mask=None):
@@ -302,34 +338,44 @@ def _as_batch(x, width, name):
     return a
 
 
+def _forward(branch, paths, params: ModelParams, voxels: dict, rng, masks):
+    """Run a branch's blocks; returns (activations by name, caches)."""
+    cfg = params.cfg
+    t = params.tensors
+    widths = _widths(cfg)
+    rates = {"encoder": cfg.dropout_codec, "decoder": cfg.dropout_codec, "backbone": cfg.dropout_backbone}
+    train = rng is not None or masks is not None
+    caches = {"mode": "train" if train else "infer"}
+    acts = {}
+    for weight, bias, key, src, dst, kind, n_in, _ in _plan(branch, paths)[0]:
+        if kind == "encoder":
+            acts[src] = _as_batch(voxels[src], widths[n_in], src)
+        x = acts[src]
+        if kind == "output":
+            caches[key] = {"x": x}
+            acts[dst] = x @ t[weight] + t[bias]
+        else:
+            acts[dst] = _apply_layer(
+                x, t[weight], t[bias], rates[kind], rng, masks, key, caches,
+                residual=kind == "backbone", train=train,
+            )
+    return acts, caches
+
+
 def text_branch_forward(
     voxels_sem, params: ModelParams, rng: Rng = None, masks: dict = None
 ) -> TextForward:
     """Run the text branch on a batch (or single vector) of semantic voxels."""
     cfg = params.cfg
-    t = params.tensors
-    x = _as_batch(voxels_sem, cfg.n_semantic_voxels, "voxels_sem")
-    train = rng is not None or masks is not None
-    caches = {"mode": "train" if train else "infer"}
-    code = _apply_layer(
-        x, t["text.encoder.W"], t["text.encoder.b"], cfg.dropout_codec,
-        rng, masks, "text.encoder", caches, residual=False, train=train,
-    )
-    recon = _apply_layer(
-        code, t["text.decoder.W"], t["text.decoder.b"], cfg.dropout_codec,
-        rng, masks, "text.decoder", caches, residual=False, train=train,
-    )
-    h = _apply_layer(
-        code, t["text.backbone1.W"], t["text.backbone1.b"], cfg.dropout_backbone,
-        rng, masks, "text.backbone1", caches, residual=True, train=train,
-    )
-    h = _apply_layer(
-        h, t["text.backbone2.W"], t["text.backbone2.b"], cfg.dropout_backbone,
-        rng, masks, "text.backbone2", caches, residual=True, train=train,
-    )
-    flat = _apply_output(h, t["text.output.W"], t["text.output.b"], "text.output", caches)
-    pred = flat.reshape(x.shape[0], cfg.text_tokens, cfg.text_dim)
-    return TextForward(code=code, recon_sem=recon, pred_emb=pred, caches=caches)
+    acts, caches = _forward("text", ("sem",), params, {"voxels_sem": voxels_sem}, rng, masks)
+    pred = acts["pred_emb"].reshape(-1, cfg.text_tokens, cfg.text_dim)
+    return TextForward(code=acts["code"], recon_sem=acts["recon_sem"], pred_emb=pred, caches=caches)
+
+
+_IMAGE_CODES_AND_RECONS = (
+    "code_sem", "code_det", "recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross",
+)
+_IMAGE_PREDS = ("pred_sem_emb", "pred_det_emb")
 
 
 def image_branch_forward(
@@ -337,95 +383,31 @@ def image_branch_forward(
 ) -> ImageForward:
     """Run the image branch; backbone and output decoder are shared across paths.
 
-    The fused prediction is defined as the elementwise mean of the two path
+    The fused prediction is the elementwise mean of the active path
     predictions; with a single active path the fusion is the identity.
     """
     cfg = params.cfg
-    t = params.tensors
     paths = image_paths(params.variant)
     if not paths:
         raise InvalidState(f"variant {params.variant!r} has no image branch")
-    train = rng is not None or masks is not None
-    caches = {"mode": "train" if train else "infer"}
-    p_codec = cfg.dropout_codec
-    p_backbone = cfg.dropout_backbone
-
-    code_sem = code_det = None
-    recon_sem_direct = recon_det_cross = recon_det_direct = recon_sem_cross = None
-    pred_sem = pred_det = None
-
-    if "sem" in paths:
-        x_s = _as_batch(voxels_sem, cfg.n_semantic_voxels, "voxels_sem")
-        code_sem = _apply_layer(
-            x_s, t["image.encoder_sem.W"], t["image.encoder_sem.b"], p_codec,
-            rng, masks, "image.encoder_sem", caches, residual=False, train=train,
-        )
-    if "det" in paths:
-        x_d = _as_batch(voxels_det, cfg.n_detail_voxels, "voxels_det")
-        code_det = _apply_layer(
-            x_d, t["image.encoder_det.W"], t["image.encoder_det.b"], p_codec,
-            rng, masks, "image.encoder_det", caches, residual=False, train=train,
-        )
-
-    if "sem" in paths:
-        recon_sem_direct = _apply_layer(
-            code_sem, t["image.decoder_sem.W"], t["image.decoder_sem.b"], p_codec,
-            rng, masks, "image.decoder_sem@direct", caches, residual=False, train=train,
-        )
-    if "sem" in paths and "det" in paths:
-        recon_det_cross = _apply_layer(
-            code_sem, t["image.decoder_det.W"], t["image.decoder_det.b"], p_codec,
-            rng, masks, "image.decoder_det@cross", caches, residual=False, train=train,
-        )
-    if "det" in paths:
-        recon_det_direct = _apply_layer(
-            code_det, t["image.decoder_det.W"], t["image.decoder_det.b"], p_codec,
-            rng, masks, "image.decoder_det@direct", caches, residual=False, train=train,
-        )
-    if "det" in paths and "sem" in paths:
-        recon_sem_cross = _apply_layer(
-            code_det, t["image.decoder_sem.W"], t["image.decoder_sem.b"], p_codec,
-            rng, masks, "image.decoder_sem@cross", caches, residual=False, train=train,
-        )
-
-    def _through_backbone(code, tag):
-        h = _apply_layer(
-            code, t["image.backbone1.W"], t["image.backbone1.b"], p_backbone,
-            rng, masks, f"image.backbone1@{tag}", caches, residual=True, train=train,
-        )
-        h = _apply_layer(
-            h, t["image.backbone2.W"], t["image.backbone2.b"], p_backbone,
-            rng, masks, f"image.backbone2@{tag}", caches, residual=True, train=train,
-        )
-        flat = _apply_output(
-            h, t["image.output.W"], t["image.output.b"], f"image.output@{tag}", caches
-        )
-        return flat.reshape(flat.shape[0], cfg.image_tokens, cfg.image_dim)
-
-    if "sem" in paths:
-        pred_sem = _through_backbone(code_sem, "sem")
-    if "det" in paths:
-        pred_det = _through_backbone(code_det, "det")
-
-    if pred_sem is not None and pred_det is not None:
-        fused = 0.5 * (pred_sem + pred_det)
-    else:
-        fused = pred_sem if pred_sem is not None else pred_det
+    voxels = {"voxels_sem": voxels_sem, "voxels_det": voxels_det}
+    acts, caches = _forward("image", paths, params, voxels, rng, masks)
+    preds = {
+        name: acts[name].reshape(-1, cfg.image_tokens, cfg.image_dim)
+        for name in _IMAGE_PREDS
+        if name in acts
+    }
     return ImageForward(
-        code_sem=code_sem,
-        code_det=code_det,
-        recon_sem_direct=recon_sem_direct,
-        recon_det_cross=recon_det_cross,
-        recon_det_direct=recon_det_direct,
-        recon_sem_cross=recon_sem_cross,
-        pred_sem_emb=pred_sem,
-        pred_det_emb=pred_det,
-        pred_fused_emb=fused,
+        **{name: acts.get(name) for name in _IMAGE_CODES_AND_RECONS},
+        pred_sem_emb=preds.get("pred_sem_emb"),
+        pred_det_emb=preds.get("pred_det_emb"),
+        pred_fused_emb=fuse_targets(*preds.values()),
         caches=caches,
     )
 
 
-def _layer_backward(caches, key, weight, g_y, residual, train):
+def _layer_backward(caches, key, g_y, train):
+    """Weight, bias and pre-activation gradients of one dropout-ReLU block."""
     cache = caches[key]
     if train:
         mask = cache["mask"]
@@ -435,51 +417,53 @@ def _layer_backward(caches, key, weight, g_y, residual, train):
     else:
         g_dropped = g_y
     g_z = g_dropped * (cache["z"] > 0.0)
-    g_w = cache["x"].T @ g_z
-    g_b = g_z.sum(axis=0)
-    g_x = g_z @ weight.T
-    if residual:
-        g_x = g_x + g_y
-    return g_w, g_b, g_x
+    return cache["x"].T @ g_z, g_z.sum(axis=0), g_z
 
 
-def _output_backward(caches, key, weight, g_y):
-    x = caches[key]["x"]
-    return x.T @ g_y, g_y.sum(axis=0), g_y @ weight.T
+def _backward(branch, paths, params: ModelParams, fwd, upstream: dict) -> dict:
+    """Accumulate a branch's parameter gradients from upstream output grads.
+
+    ``upstream`` maps forward-result field names to gradients; None
+    contributes nothing, and a gradient for an absent output is an error.
+    """
+    t = params.tensors
+    caches = fwd.caches
+    train = caches["mode"] == "train"
+    grads = {k: np.zeros_like(v) for k, v in t.items() if k.startswith(branch + ".")}
+    g_acts = {}
+    for name, g in upstream.items():
+        if g is None:
+            continue
+        out = getattr(fwd, name)
+        if out is None:
+            raise InvalidState(f"gradient supplied for absent output {name!r}")
+        g_acts[name] = np.asarray(g, dtype=np.float64).reshape(out.shape[0], -1)
+    for weight, bias, key, src, dst, kind, _, _ in _plan(branch, paths)[1]:
+        g_y = g_acts.get(dst)
+        if g_y is None:
+            continue
+        if kind == "output":
+            g_w, g_b, g_z = caches[key]["x"].T @ g_y, g_y.sum(axis=0), g_y
+        else:
+            g_w, g_b, g_z = _layer_backward(caches, key, g_y, train)
+        grads[weight] += g_w
+        grads[bias] += g_b
+        if kind == "encoder":
+            continue  # voxel inputs need no gradient
+        g_x = g_z @ t[weight].T
+        if kind == "backbone":
+            g_x = g_x + g_y
+        prev = g_acts.get(src)
+        g_acts[src] = g_x if prev is None else prev + g_x
+    return grads
 
 
 def text_branch_backward(
     params: ModelParams, fwd: TextForward, grad_pred_emb, grad_recon_sem
 ) -> dict:
     """Accumulate text-branch parameter gradients for the given upstream grads."""
-    t = params.tensors
-    caches = fwd.caches
-    train = caches["mode"] == "train"
-    grads = {k: np.zeros_like(v) for k, v in t.items() if k.startswith("text.")}
-
-    n = fwd.pred_emb.shape[0]
-    g_flat = np.asarray(grad_pred_emb, dtype=np.float64).reshape(n, -1)
-    g_w, g_b, g_h = _output_backward(caches, "text.output", t["text.output.W"], g_flat)
-    grads["text.output.W"] += g_w
-    grads["text.output.b"] += g_b
-    g_w, g_b, g_h = _layer_backward(caches, "text.backbone2", t["text.backbone2.W"], g_h, True, train)
-    grads["text.backbone2.W"] += g_w
-    grads["text.backbone2.b"] += g_b
-    g_w, g_b, g_code = _layer_backward(caches, "text.backbone1", t["text.backbone1.W"], g_h, True, train)
-    grads["text.backbone1.W"] += g_w
-    grads["text.backbone1.b"] += g_b
-
-    g_recon = np.asarray(grad_recon_sem, dtype=np.float64).reshape(fwd.recon_sem.shape)
-    g_w, g_b, g_code_dec = _layer_backward(caches, "text.decoder", t["text.decoder.W"], g_recon, False, train)
-    grads["text.decoder.W"] += g_w
-    grads["text.decoder.b"] += g_b
-
-    g_w, g_b, _ = _layer_backward(
-        caches, "text.encoder", t["text.encoder.W"], g_code + g_code_dec, False, train
-    )
-    grads["text.encoder.W"] += g_w
-    grads["text.encoder.b"] += g_b
-    return grads
+    upstream = {"pred_emb": grad_pred_emb, "recon_sem": grad_recon_sem}
+    return _backward("text", ("sem",), params, fwd, upstream)
 
 
 def image_branch_backward(
@@ -497,81 +481,15 @@ def image_branch_backward(
     Upstream gradients for absent outputs must be None; present outputs with
     a None upstream contribute nothing.
     """
-    t = params.tensors
-    caches = fwd.caches
-    train = caches["mode"] == "train"
-    paths = image_paths(params.variant)
-    grads = {k: np.zeros_like(v) for k, v in t.items() if k.startswith("image.")}
-
-    g_code_sem = None if fwd.code_sem is None else np.zeros_like(fwd.code_sem)
-    g_code_det = None if fwd.code_det is None else np.zeros_like(fwd.code_det)
-
-    def _backbone_back(g_pred, tag):
-        n = g_pred.shape[0]
-        g_flat = np.asarray(g_pred, dtype=np.float64).reshape(n, -1)
-        g_w, g_b, g_h = _output_backward(
-            caches, f"image.output@{tag}", t["image.output.W"], g_flat
-        )
-        grads["image.output.W"] += g_w
-        grads["image.output.b"] += g_b
-        g_w, g_b, g_h = _layer_backward(
-            caches, f"image.backbone2@{tag}", t["image.backbone2.W"], g_h, True, train
-        )
-        grads["image.backbone2.W"] += g_w
-        grads["image.backbone2.b"] += g_b
-        g_w, g_b, g_code = _layer_backward(
-            caches, f"image.backbone1@{tag}", t["image.backbone1.W"], g_h, True, train
-        )
-        grads["image.backbone1.W"] += g_w
-        grads["image.backbone1.b"] += g_b
-        return g_code
-
-    if grad_pred_sem_emb is not None:
-        if "sem" not in paths:
-            raise InvalidState("gradient supplied for absent semantic path")
-        g_code_sem += _backbone_back(grad_pred_sem_emb, "sem")
-    if grad_pred_det_emb is not None:
-        if "det" not in paths:
-            raise InvalidState("gradient supplied for absent detail path")
-        g_code_det += _backbone_back(grad_pred_det_emb, "det")
-
-    def _decoder_back(grad, key, weight_name, code_grad):
-        g = np.asarray(grad, dtype=np.float64)
-        g_w, g_b, g_code = _layer_backward(caches, key, t[weight_name + ".W"], g, False, train)
-        grads[weight_name + ".W"] += g_w
-        grads[weight_name + ".b"] += g_b
-        return code_grad + g_code
-
-    if grad_recon_sem_direct is not None:
-        g_code_sem = _decoder_back(
-            grad_recon_sem_direct, "image.decoder_sem@direct", "image.decoder_sem", g_code_sem
-        )
-    if grad_recon_det_cross is not None:
-        g_code_sem = _decoder_back(
-            grad_recon_det_cross, "image.decoder_det@cross", "image.decoder_det", g_code_sem
-        )
-    if grad_recon_det_direct is not None:
-        g_code_det = _decoder_back(
-            grad_recon_det_direct, "image.decoder_det@direct", "image.decoder_det", g_code_det
-        )
-    if grad_recon_sem_cross is not None:
-        g_code_det = _decoder_back(
-            grad_recon_sem_cross, "image.decoder_sem@cross", "image.decoder_sem", g_code_det
-        )
-
-    if g_code_sem is not None:
-        g_w, g_b, _ = _layer_backward(
-            caches, "image.encoder_sem", t["image.encoder_sem.W"], g_code_sem, False, train
-        )
-        grads["image.encoder_sem.W"] += g_w
-        grads["image.encoder_sem.b"] += g_b
-    if g_code_det is not None:
-        g_w, g_b, _ = _layer_backward(
-            caches, "image.encoder_det", t["image.encoder_det.W"], g_code_det, False, train
-        )
-        grads["image.encoder_det.W"] += g_w
-        grads["image.encoder_det.b"] += g_b
-    return grads
+    upstream = {
+        "pred_sem_emb": grad_pred_sem_emb,
+        "pred_det_emb": grad_pred_det_emb,
+        "recon_sem_direct": grad_recon_sem_direct,
+        "recon_det_cross": grad_recon_det_cross,
+        "recon_det_direct": grad_recon_det_direct,
+        "recon_sem_cross": grad_recon_sem_cross,
+    }
+    return _backward("image", image_paths(params.variant), params, fwd, upstream)
 
 
 def collect_masks(caches: dict) -> dict:
@@ -586,17 +504,6 @@ def collect_masks(caches: dict) -> dict:
     return masks
 
 
-_CFG_INT_FIELDS = (
-    "n_semantic_voxels",
-    "n_detail_voxels",
-    "latent_dim",
-    "text_tokens",
-    "text_dim",
-    "image_tokens",
-    "image_dim",
-)
-
-
 def save_params(params: ModelParams, directory) -> None:
     """Write a checkpoint: one MAT1 file per tensor plus manifest and config."""
     out = Path(directory)
@@ -609,11 +516,9 @@ def save_params(params: ModelParams, directory) -> None:
         save_matrix(matrix, out / filename)
         manifest_lines.append(f"{name}={filename} {matrix.shape[0]} {matrix.shape[1]}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    cfg_lines = [f"variant={params.variant}"]
-    for fname in _CFG_INT_FIELDS:
-        cfg_lines.append(f"{fname}={getattr(params.cfg, fname)}")
-    cfg_lines.append(f"dropout_codec={params.cfg.dropout_codec!r}")
-    cfg_lines.append(f"dropout_backbone={params.cfg.dropout_backbone!r}")
+    cfg_lines = [f"variant={params.variant}"] + [
+        f"{f.name}={format_value(getattr(params.cfg, f.name))}" for f in fields(ModelConfig)
+    ]
     (out / "model.cfg").write_text("\n".join(sorted(cfg_lines)) + "\n", encoding="utf-8")
 
 
@@ -631,13 +536,13 @@ def load_params(directory) -> ModelParams:
         entries[key] = value
     try:
         variant = entries["variant"]
-        cfg = ModelConfig(
-            **{f: int(entries[f]) for f in _CFG_INT_FIELDS},
-            dropout_codec=float(entries["dropout_codec"]),
-            dropout_backbone=float(entries["dropout_backbone"]),
-        )
+        cfg = ModelConfig(**{f.name: PARSERS[f.type](entries[f.name]) for f in fields(ModelConfig)})
     except KeyError as exc:
         raise FormatError(f"model.cfg missing key {exc}", offset=0) from exc
+    except ValueError as exc:
+        raise FormatError(f"model.cfg: {exc}", offset=0) from exc
+    if variant not in VARIANTS:
+        raise FormatError(f"model.cfg: unknown variant {variant!r}", offset=0)
 
     manifest_path = root / "manifest.txt"
     if not manifest_path.exists():
@@ -645,6 +550,7 @@ def load_params(directory) -> ModelParams:
     expected = expected_tensors(cfg, variant)
     tensors = {}
     text = manifest_path.read_text(encoding="utf-8")
+    resolved_root = root.resolve()
     offset = 0
     for line in text.splitlines():
         if line.strip():
@@ -654,6 +560,10 @@ def load_params(directory) -> ModelParams:
                 rows, cols = int(rows), int(cols)
             except ValueError:
                 raise FormatError(f"malformed manifest line {line!r}", offset=offset) from None
+            if not (root / filename).resolve().is_relative_to(resolved_root):
+                raise FormatError(
+                    f"manifest line {line!r} names a file outside {root}", offset=offset
+                )
             matrix = load_matrix(root / filename)
             if matrix.shape != (rows, cols):
                 raise FormatError(

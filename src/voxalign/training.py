@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import LayerStack
-from .data import Dataset, average_layers, fuse_targets, split_regions
+from .data import Dataset, fuse_targets, split_regions
 from .errors import DegenerateInput, RangeError, ShapeMismatch, UsageError
-from .losses import image_total_loss, mg_loss, mse_loss, text_total_loss
+# mg_loss and mse_loss are not called here; perfbench/spans.py traces them in this module.
+from .losses import ANCHOR_MODES, image_total_loss, mg_loss, mse_loss, text_total_loss
 from .metrics import pixcorr, ssim, two_way_identification, SSIM_WINDOW
 from .model import (
     ModelConfig,
@@ -39,7 +40,8 @@ from .model import (
 from .optim import AdamState, adam_step
 from .rng import Rng
 
-ANCHOR_MODES = ("own_first_token", "target_first_token")
+# TrainConfig fields that evaluate() reads; a checkpoint's targets.cfg keeps them.
+EVAL_FIELDS = ("detail_layer_lo", "detail_layer_hi", "semantic_target_from_final", "eval_similarity")
 
 
 @dataclass(frozen=True)
@@ -119,26 +121,10 @@ def resolve_layer_range(cfg: TrainConfig, stack: LayerStack):
     return lo, hi
 
 
-def _branch_targets(dataset: Dataset, lo: int, hi: int, semantic_from_final: bool):
-    """(detail, semantic, fused) targets as (n, tokens, dim) arrays."""
-    tokens, dim = dataset.image_token_shape
-    det = average_layers(dataset.layers, lo, hi).reshape(dataset.n, tokens, dim)
-    if semantic_from_final:
-        sem_flat = dataset.layers.layer(dataset.layers.final_id)
-        sem = sem_flat.reshape(dataset.n, tokens, dim)
-    else:
-        sem = det
-    return det, sem, fuse_targets(det, sem)
-
-
-def effective_image_target(variant: str, det, sem, fused):
-    """The target the variant's fused prediction is trained against."""
-    paths = image_paths(variant)
-    if paths == ("sem",):
-        return sem
-    if paths == ("det",):
-        return det
-    return fused
+def effective_image_target(variant: str, targets: dict):
+    """The target the variant's fused prediction is trained against: the
+    mean of its path targets (see :meth:`Dataset.image_targets`)."""
+    return fuse_targets(*(targets[path] for path in image_paths(variant)))
 
 
 def _check_dims(dataset: Dataset, model_cfg: ModelConfig):
@@ -194,96 +180,65 @@ def _text_batch_loss(text_targets, fwd, voxels_sem, cfg: TrainConfig, want_grads
     return means, (g_pred, g_recon)
 
 
-def _image_batch_loss(
-    targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, variant: str, want_grads: bool
-):
-    det_t, sem_t, fused_t = targets
-    paths = image_paths(variant)
+_IMAGE_OUTPUTS = (
+    "pred_sem_emb", "pred_det_emb", "recon_sem_direct",
+    "recon_det_cross", "recon_det_direct", "recon_sem_cross",
+)
+
+
+def _image_batch_loss(targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, want_grads: bool):
+    """Mean image loss of a batch; ``targets`` is (fused, sem, det), None for an absent path.
+
+    Gradients are keyed like the ``image_branch_backward`` keywords.
+    """
+    fused_t, sem_t, det_t = targets
+    outputs = {name: getattr(fwd, name) for name in _IMAGE_OUTPUTS}
     n = fwd.pred_fused_emb.shape[0]
-    keys = ["image_total", "image_mg", "image_cka", "image_sims", "image_crec"]
-    if "sem" in paths:
-        keys.append("image_sem_mse")
-    if "det" in paths:
-        keys.append("image_det_mse")
-    sums = dict.fromkeys(keys, 0.0)
+    sums = dict.fromkeys(["image_total", "image_mg", "image_cka", "image_sims", "image_crec"], 0.0)
     grads = {}
     if want_grads:
-        for name in (
-            "pred_sem_emb", "pred_det_emb", "recon_sem_direct",
-            "recon_det_cross", "recon_det_direct", "recon_sem_cross",
-        ):
-            out = getattr(fwd, name)
-            grads[name] = None if out is None else np.zeros_like(out)
+        grads = {f"grad_{name}": np.zeros_like(out) for name, out in outputs.items() if out is not None}
 
     for s in range(n):
-        if len(paths) == 2:
-            il = image_total_loss(
-                fused_t[s],
-                fwd.pred_sem_emb[s],
-                fwd.pred_det_emb[s],
-                sem_t[s],
-                det_t[s],
-                voxels_sem[s],
-                voxels_det[s],
-                fwd.recon_sem_direct[s],
-                fwd.recon_det_cross[s],
-                fwd.recon_det_direct[s],
-                fwd.recon_sem_cross[s],
-                anchor=cfg.anchor_mode,
-                weight_cka=cfg.weight_cka,
-                weight_sims=cfg.weight_sims,
-                weight_crec=cfg.weight_crec,
-            )
-            sums["image_total"] += il.value
-            sums["image_mg"] += il.mg_value
-            sums["image_cka"] += cfg.weight_cka * il.cka_value
-            sums["image_sims"] += cfg.weight_sims * il.sims_value
-            sums["image_crec"] += cfg.weight_crec * il.crec_value
-            sums["image_sem_mse"] += il.sem_mse_value
-            sums["image_det_mse"] += il.det_mse_value
-            if want_grads:
-                grads["pred_sem_emb"][s] = il.grad_pred_sem_emb / n
-                grads["pred_det_emb"][s] = il.grad_pred_det_emb / n
-                grads["recon_sem_direct"][s] = il.grad_recon_sem_direct / n
-                grads["recon_det_cross"][s] = il.grad_recon_det_cross / n
-                grads["recon_det_direct"][s] = il.grad_recon_det_direct / n
-                grads["recon_sem_cross"][s] = il.grad_recon_sem_cross / n
-        else:
-            # Single active path: fusion is the identity and the cross
-            # reconstruction collapses to the direct term.
-            if paths == ("sem",):
-                target, pred = sem_t[s], fwd.pred_sem_emb[s]
-                recon_target, recon = voxels_sem[s], fwd.recon_sem_direct[s]
-                pred_key, recon_key, mse_key = "pred_sem_emb", "recon_sem_direct", "image_sem_mse"
-            else:
-                target, pred = det_t[s], fwd.pred_det_emb[s]
-                recon_target, recon = voxels_det[s], fwd.recon_det_direct[s]
-                pred_key, recon_key, mse_key = "pred_det_emb", "recon_det_direct", "image_det_mse"
-            mg = mg_loss(target, pred, cfg.anchor_mode, cfg.weight_cka, cfg.weight_sims)
-            crec = mse_loss(recon_target, recon)
-            path_mse = mse_loss(target, pred)
-            sums["image_total"] += mg.value + cfg.weight_crec * crec.value + path_mse.value
-            sums["image_mg"] += mg.value
-            sums["image_cka"] += cfg.weight_cka * mg.cka_value
-            sums["image_sims"] += cfg.weight_sims * mg.sims_value
-            sums["image_crec"] += cfg.weight_crec * crec.value
-            sums[mse_key] += path_mse.value
-            if want_grads:
-                grads[pred_key][s] = (mg.grad + path_mse.grad) / n
-                grads[recon_key][s] = cfg.weight_crec * crec.grad / n
+        il = image_total_loss(
+            fused_t[s],
+            sem_emb_target=None if sem_t is None else sem_t[s],
+            det_emb_target=None if det_t is None else det_t[s],
+            voxels_sem=voxels_sem[s],
+            voxels_det=voxels_det[s],
+            **{name: None if out is None else out[s] for name, out in outputs.items()},
+            anchor=cfg.anchor_mode,
+            weight_cka=cfg.weight_cka,
+            weight_sims=cfg.weight_sims,
+            weight_crec=cfg.weight_crec,
+        )
+        sums["image_total"] += il.value
+        sums["image_mg"] += il.mg_value
+        sums["image_cka"] += cfg.weight_cka * il.cka_value
+        sums["image_sims"] += cfg.weight_sims * il.sims_value
+        sums["image_crec"] += cfg.weight_crec * il.crec_value
+        for key, value in (("image_sem_mse", il.sem_mse_value), ("image_det_mse", il.det_mse_value)):
+            if value is not None:
+                sums[key] = sums.get(key, 0.0) + value
+        for key, grad in grads.items():
+            grad[s] = getattr(il, key) / n
     means = {k: v / n for k, v in sums.items()}
     return means, grads
 
 
-def _val_components(params, cfg, variant, text_targets, image_targets, voxels_sem, voxels_det):
+def _rows(targets, rows):
+    return tuple(None if t is None else t[rows] for t in targets)
+
+
+def _val_components(params, cfg, text_targets, image_targets, voxels_sem, voxels_det):
     components = {}
     tf = text_branch_forward(voxels_sem, params)
     text_means, _ = _text_batch_loss(text_targets, tf, voxels_sem, cfg, want_grads=False)
     components.update(text_means)
-    if image_paths(variant):
+    if image_targets:
         ifwd = image_branch_forward(voxels_sem, voxels_det, params)
         image_means, _ = _image_batch_loss(
-            image_targets, ifwd, voxels_sem, voxels_det, cfg, variant, want_grads=False
+            image_targets, ifwd, voxels_sem, voxels_det, cfg, want_grads=False
         )
         components.update(image_means)
     return components
@@ -298,7 +253,11 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
 
     voxels_sem, voxels_det = split_regions(dataset.voxels, dataset.mask)
     text_targets = dataset.text_targets()
-    image_targets = _branch_targets(dataset, lo, hi, cfg.semantic_target_from_final)
+    image_targets = None
+    if paths:
+        by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
+        active = {path: by_path[path] for path in paths}
+        image_targets = (effective_image_target(variant, by_path), active.get("sem"), active.get("det"))
 
     tr = dataset.train_slice
     te = dataset.test_slice
@@ -322,22 +281,11 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
         fwd = image_branch_forward(
             voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], params, rng=batch_rng
         )
-        batch_targets = tuple(t[tr][batch_idx] for t in image_targets)
+        batch_targets = _rows(_rows(image_targets, tr), batch_idx)
         means, out_grads = _image_batch_loss(
-            batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx],
-            cfg, variant, True,
+            batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], cfg, True
         )
-        grads = image_branch_backward(
-            params,
-            fwd,
-            grad_pred_sem_emb=out_grads.get("pred_sem_emb"),
-            grad_pred_det_emb=out_grads.get("pred_det_emb"),
-            grad_recon_sem_direct=out_grads.get("recon_sem_direct"),
-            grad_recon_det_cross=out_grads.get("recon_det_cross"),
-            grad_recon_det_direct=out_grads.get("recon_det_direct"),
-            grad_recon_sem_cross=out_grads.get("recon_sem_cross"),
-        )
-        return means, grads
+        return means, image_branch_backward(params, fwd, **out_grads)
 
     def _apply(grads, counter: str):
         # Joint training shares one step count; separate-branch loops keep
@@ -396,8 +344,7 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
 
         train_components = {k: epoch_sums[k] / epoch_counts[k] for k in sorted(epoch_sums)}
         val_components = _val_components(
-            params, cfg, variant,
-            text_targets[te], tuple(t[te] for t in image_targets),
+            params, cfg, text_targets[te], image_targets and _rows(image_targets, te),
             voxels_sem[te], voxels_det[te],
         )
         history.append({"epoch": epoch, "train": train_components, "val": val_components})
@@ -444,8 +391,8 @@ def evaluate(params: ModelParams, dataset: Dataset, cfg: TrainConfig) -> dict:
         "ssim": None,
     }
     if image_paths(params.variant):
-        det_t, sem_t, fused_t = _branch_targets(dataset, lo, hi, cfg.semantic_target_from_final)
-        target = effective_image_target(params.variant, det_t, sem_t, fused_t)[te]
+        by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
+        target = effective_image_target(params.variant, by_path)[te]
         ifwd = image_branch_forward(voxels_sem[te], voxels_det[te], params)
         pred = ifwd.pred_fused_emb
         metrics["two_way_image"] = two_way_identification(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,34 @@ class TestEval:
         b = json.loads((out2 / "metrics.json").read_text())
         assert a == b
 
+    @pytest.mark.parametrize("similarity", ["pearson", "cosine"])
+    def test_eval_reproduces_train_metrics(self, workspace, tmp_path, similarity):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(SMALL_TRAIN + f"eval_similarity={similarity}\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                     "--out", str(run), "--quiet"]) == 0
+        assert main(["eval", "--ckpt", str(run / "checkpoint"), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+        trained = json.loads((run / "metrics.json").read_text())
+        evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        for key in ("two_way_image", "two_way_text", "pixcorr", "ssim"):
+            assert evaluated[key] == trained[key], key
+
+    def test_manifest_file_outside_checkpoint_exit_2(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        (ckpt / "text.encoder.b.mat1").rename(tmp_path / "outside.mat1")
+        manifest = ckpt / "manifest.txt"
+        line = "text.encoder.b=../outside.mat1 1 24"
+        text = manifest.read_text().replace("text.encoder.b=text.encoder.b.mat1 1 24", line)
+        assert line in text
+        manifest.write_text(text)
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "ev"), "--quiet"])
+        assert code == 2
+        assert line in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_2(self, workspace):
         code = main(["eval", "--ckpt", str(workspace / "nonexistent"),
                      "--data", str(workspace / "data"),
@@ -198,6 +227,23 @@ class TestAnalyze:
         lines = (out / "layer_scan.csv").read_text().splitlines()
         assert lines[0] == "range,two_way_image"
         assert len(lines) == 3
+
+    def test_failed_force_run_keeps_old_output(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier output\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scan_ranges=garbage\n")
+        code = main(["analyze", "--mode", "layer-scan", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(out), "--force", "--quiet"])
+        assert code == 2
+        assert (out / "keep.txt").read_text() == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "out"]
+        # a successful --force run replaces the old output
+        assert main(["analyze", "--mode", "cka-heatmap", "--data", str(workspace / "data"),
+                     "--out", str(out), "--force", "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["cka_heatmap.csv", "resolved.cfg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "out"]
 
 
 class TestBackproject:

@@ -237,10 +237,14 @@ class TestDatasetRoundTrip:
         ds = make_stack_dataset()
         text = ds.text_targets()
         assert text.shape == (ds.n, int(ds.meta["text_tokens"]), int(ds.meta["text_dim"]))
-        det, sem, fused = ds.image_targets(2, 4)
-        np.testing.assert_allclose(fused, 0.5 * (det + sem), atol=0)
+        targets = ds.image_targets(2, 4, semantic_from_final=True)
+        det, sem = targets["det"], targets["sem"]
         tokens, dim = ds.image_token_shape
         assert det.shape == (ds.n, tokens, dim)
+        np.testing.assert_array_equal(det.reshape(ds.n, -1), average_layers(ds.layers, 2, 4))
+        np.testing.assert_array_equal(sem.reshape(ds.n, -1), ds.layers.layer(ds.layers.final_id))
+        scan = ds.image_targets(2, 4, semantic_from_final=False)
+        np.testing.assert_array_equal(scan["sem"], det)
 
     def test_ingestion_projection_applied_to_layers(self, tmp_path):
         # Wide per-token features on disk, projected to the common width

@@ -332,6 +332,39 @@ class TestImageTotalLoss:
             abs=1e-12,
         )
 
+    @pytest.mark.parametrize("path", ["sem", "det"])
+    def test_single_path_matches_reference_formula(self, path):
+        # Reference: the per-sample single-path loss written out term by term.
+        r = Rng(5, f"single-{path}")
+        target = r.child("t").normal(4, 3)
+        pred = r.child("p").normal(4, 3)
+        voxels = r.child("v").normal(5)
+        recon = r.child("r").normal(5)
+        anchor, w_cka, w_sims, w_crec = "target_first_token", 0.7, 1.3, 0.4
+        mg = mg_loss(target, pred, anchor, w_cka, w_sims)
+        crec = mse_loss(voxels, recon)
+        path_mse = mse_loss(target, pred)
+
+        args = dict.fromkeys(
+            ("pred_sem_emb", "pred_det_emb", "sem_emb_target", "det_emb_target",
+             "voxels_sem", "voxels_det", "recon_sem_direct", "recon_det_cross",
+             "recon_det_direct", "recon_sem_cross"),
+        )
+        args.update({
+            f"pred_{path}_emb": pred, f"{path}_emb_target": target,
+            f"voxels_{path}": voxels, f"recon_{path}_direct": recon,
+        })
+        out = image_total_loss(
+            target, **args, anchor=anchor, weight_cka=w_cka, weight_sims=w_sims, weight_crec=w_crec
+        )
+        assert out.value == mg.value + w_crec * crec.value + path_mse.value
+        np.testing.assert_array_equal(getattr(out, f"grad_pred_{path}_emb"), mg.grad + path_mse.grad)
+        np.testing.assert_array_equal(getattr(out, f"grad_recon_{path}_direct"), w_crec * crec.grad)
+        other = "det" if path == "sem" else "sem"
+        assert getattr(out, f"grad_pred_{other}_emb") is None
+        assert getattr(out, f"{other}_mse_value") is None
+        assert out.grad_recon_det_cross is None and out.grad_recon_sem_cross is None
+
 
 class TestGradCheckHarness:
     def test_deterministic_loss_evaluation(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxalign.errors import DegenerateInput, InvalidState, ShapeMismatch
+from voxalign.errors import DegenerateInput, FormatError, InvalidState, ShapeMismatch
 from voxalign.losses import image_total_loss
 from voxalign.model import (
     ModelConfig,
@@ -361,6 +361,16 @@ class TestCheckpoint:
         loaded = load_params(tmp_path / "ckpt")
         assert loaded.variant == "text_only"
         assert not any(n.startswith("image.") for n in loaded.tensors)
+
+    @pytest.mark.parametrize("line, bad", [("latent_dim=2", "latent_dim=two"), ("variant=full", "variant=bogus")])
+    def test_malformed_model_cfg_rejected(self, tmp_path, line, bad):
+        save_params(init_params(TINY, Rng(39, "i")), tmp_path / "ckpt")
+        cfg = tmp_path / "ckpt" / "model.cfg"
+        text = cfg.read_text()
+        assert line in text
+        cfg.write_text(text.replace(line, bad))
+        with pytest.raises(FormatError, match="model.cfg"):
+            load_params(tmp_path / "ckpt")
 
     def test_masks_collected_only_in_train_mode(self):
         params = init_params(TINY, Rng(38, "i"))
