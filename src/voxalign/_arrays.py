@@ -12,7 +12,7 @@ def as_array(x, name: str = "array") -> np.ndarray:
         raise ShapeMismatch(f"{name}: expected at least 1-D, got a scalar")
     if a.size == 0:
         raise ShapeMismatch(f"{name}: array is empty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DegenerateInput(f"{name}: contains non-finite entries")
     return np.ascontiguousarray(a)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ._arrays import as_matrix, as_vector
+from ._arrays import as_array, as_matrix, as_vector
 from .errors import DegenerateInput, NumericalFailure, ShapeMismatch
 
 
@@ -27,17 +27,21 @@ def apply_centering(kernel) -> np.ndarray:
 
     Computed by subtracting row means and column means and adding back the
     grand mean, which is O(m^2) and never materializes H. Row and column
-    sums of the result vanish, and the map is idempotent.
+    sums of the result vanish, and the map is idempotent. A stack of
+    kernels, shape ``(..., m, m)``, is centered kernel by kernel.
     """
-    k = as_matrix(kernel, "kernel")
-    m = k.shape[0]
-    if k.shape[1] != m:
+    k = as_array(kernel, "kernel")
+    if k.ndim < 2:
+        raise ShapeMismatch(f"kernel: expected at least 2-D, got shape {k.shape}")
+    m = k.shape[-1]
+    if k.shape[-2] != m:
         raise ShapeMismatch(f"kernel must be square, got shape {k.shape}")
     if m < 2:
         raise DegenerateInput("centering requires at least a 2x2 kernel")
-    row_means = k.mean(axis=1, keepdims=True)
-    col_means = k.mean(axis=0, keepdims=True)
-    grand_mean = k.mean()
+    # Sums over counts are what ``mean`` computes, without its per-call overhead.
+    row_means = k.sum(axis=-1, keepdims=True) / m
+    col_means = k.sum(axis=-2, keepdims=True) / m
+    grand_mean = k.sum(axis=(-2, -1), keepdims=True) / (m * m)
     return k - row_means - col_means + grand_mean
 
 

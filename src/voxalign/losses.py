@@ -15,6 +15,14 @@ the prediction side, so both are implemented behind ``anchor``:
   making the term invariant to positive rescaling of the prediction.
 * ``target_first_token``: the target's first token is the anchor for the
   prediction's remaining tokens as well.
+
+Every term is computed over a leading sample axis, so a training batch
+costs one call. The branch totals (:func:`text_total_loss`,
+:func:`image_total_loss`) take either one sample or a batch, selected by
+the rank of the prediction: a batch has rank-3 predictions, gives ``(n,)``
+per-sample values and keeps the sample axis on its gradients. The
+single-sample losses run the same code on a batch of one. Each sample's
+value and gradient are bit-identical to scoring that sample on its own.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ class CrecLoss:
 
 @dataclass(frozen=True)
 class TextLoss:
+    """Text-branch total and its components; for a batch, each value is an (n,) array."""
+
     value: float
     grad_pred_emb: np.ndarray
     grad_recon_sem: np.ndarray
@@ -74,6 +84,8 @@ class TextLoss:
 
 @dataclass(frozen=True)
 class ImageLoss:
+    """Image-branch total and its components; for a batch, each value is an (n,) array."""
+
     value: float
     grad_pred_sem_emb: np.ndarray
     grad_pred_det_emb: np.ndarray
@@ -89,27 +101,182 @@ class ImageLoss:
     det_mse_value: float
 
 
+def _single(result):
+    """A batch-of-one result as a single-sample one: float values, unbatched gradients."""
+
+    def first(x):
+        if x is None:
+            return None
+        if isinstance(x, tuple):
+            return tuple(first(v) for v in x)
+        return float(x[0]) if x.ndim == 1 else x[0]
+
+    return type(result)(*map(first, vars(result).values()))
+
+
+def _batch(arrays: dict, batched: bool) -> dict:
+    """Validate each named array (None passes) and give it a leading sample axis.
+
+    A single sample gains the axis; in a batch every array already has it,
+    and all of them share one sample count.
+    """
+    out = {}
+    for name, x in arrays.items():
+        if x is None:
+            out[name] = None
+            continue
+        a = as_array(x, name)
+        if not batched:
+            a = a[None]
+        elif a.ndim < 2:
+            raise ShapeMismatch(f"{name}: expected a leading sample axis, got shape {a.shape}")
+        out[name] = a
+    counts = sorted({a.shape[0] for a in out.values() if a is not None})
+    if len(counts) > 1:
+        raise ShapeMismatch(f"sample counts differ within the batch: {counts}")
+    return out
+
+
+def _token_pair(target: np.ndarray, pred: np.ndarray, context: str):
+    """Check a stacked target/prediction pair: one (n, m, d) shape with m >= 2."""
+    for name, a in (("target", target), ("pred", pred)):
+        if a.ndim != 3:
+            raise ShapeMismatch(f"{name}: expected token matrices, got shape {a.shape[1:]} per sample")
+    require_same_shape(target[0], pred[0], context)
+    if target.shape[1] < 2:
+        raise DegenerateInput(f"{context} requires at least 2 tokens")
+    return target, pred
+
+
+def _mse(target: np.ndarray, pred: np.ndarray):
+    """Per-sample MSE over a leading sample axis, and its gradient in `pred`."""
+    diff = pred - target
+    n = diff.shape[0]
+    return (diff * diff).reshape(n, -1).mean(axis=1), (2.0 / (diff.size // n)) * diff
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows, through the same BLAS dot as ``x @ y`` on one row."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _anchor_cosines(anchor: np.ndarray, rest: np.ndarray, label: str, batched: bool):
+    """Cosines between each sample's anchor token and its other tokens, plus norms.
+
+    ``anchor`` is (n, d) and ``rest`` (n, k, d). The norms are computed as
+    ``np.linalg.norm`` computes them for one vector (a dot product) and for
+    rows (a sum of squares along each row).
+    """
+    anchor_norm = np.sqrt(_rowdot(anchor, anchor))
+    rest_norms = np.linalg.norm(rest, axis=2)
+    if not (anchor_norm.all() and rest_norms.all()):
+        sample, token = (int(i) for i in np.argwhere(np.column_stack([anchor_norm, rest_norms]) == 0.0)[0])
+        where = f"sample {sample}: {label}" if batched else f"{label}:"
+        raise DegenerateInput(f"{where} token {token} is a zero vector")
+    sims = np.matmul(rest, anchor[:, :, None])[:, :, 0] / (rest_norms * anchor_norm[:, None])
+    return sims, anchor_norm, rest_norms
+
+
+def _sims(a: np.ndarray, b: np.ndarray, anchor: str, batched: bool):
+    """Per-sample sims loss over a leading sample axis, and its gradient in `b`."""
+    if anchor not in ANCHOR_MODES:
+        raise ValueError(f"anchor must be one of {ANCHOR_MODES}, got {anchor!r}")
+    s_target, _, _ = _anchor_cosines(a[:, 0], a[:, 1:], "target", batched)
+    anchor_vec = b[:, 0] if anchor == "own_first_token" else a[:, 0]
+    rest = b[:, 1:]
+    s_pred, anchor_norm, rest_norms = _anchor_cosines(anchor_vec, rest, "pred", batched)
+
+    diff = s_pred - s_target
+    value = (diff * diff).mean(axis=1)
+    g = (2.0 / diff.shape[1]) * diff  # d value / d s_pred[k]
+
+    grad = np.zeros_like(b)
+    # d cos(u, v_k) / d v_k = u / (|u||v_k|) - cos * v_k / |v_k|^2
+    inv = 1.0 / (rest_norms * anchor_norm[:, None])
+    grad[:, 1:] = (
+        g[:, :, None] * inv[:, :, None] * anchor_vec[:, None, :]
+        - (g * s_pred / rest_norms**2)[:, :, None] * rest
+    )
+    if anchor == "own_first_token":
+        # d cos(b_0, b_k) / d b_0 = b_k / (|b_0||b_k|) - cos * b_0 / |b_0|^2
+        # |b_0|^2 is squared as a Python float (libm pow), which differs from
+        # an array's x * x in the last bit on some inputs.
+        anchor_sq = np.array([x**2 for x in anchor_norm.tolist()])
+        grad[:, 0] = (
+            np.matmul((g * inv)[:, None, :], rest)[:, 0]
+            - (_rowdot(g, s_pred) / anchor_sq)[:, None] * anchor_vec
+        )
+    return value, grad
+
+
+def _cka(a: np.ndarray, b: np.ndarray, batched: bool):
+    """Per-sample CKA loss over a leading sample axis, and its gradient in `b`."""
+    k = a @ a.transpose(0, 2, 1)
+    l = b @ b.transpose(0, 2, 1)
+    k_c = apply_centering(k)
+    l_c = apply_centering(l)
+    p = (k_c * l).sum(axis=(1, 2))
+    q = (k_c * k).sum(axis=(1, 2))
+    r = (l_c * l).sum(axis=(1, 2))
+    for values, what in ((q, "target"), (r, "prediction")):
+        bad = np.flatnonzero(values <= 0.0)
+        if bad.size:
+            where = f"sample {int(bad[0])}: " if batched else ""
+            raise DegenerateInput(f"{where}{what} is a constant representation")
+    denom = np.sqrt(q * r)
+    value = 1.0 - p / denom
+    grad_l = k_c / denom[:, None, None] - (p / (r * denom))[:, None, None] * l_c
+    return value, -2.0 * (grad_l @ b)
+
+
+def _mg(a, b, anchor, weight_cka, weight_sims, batched) -> MgLoss:
+    """Per-sample multi-granularity loss over a leading sample axis, components included."""
+    cka, grad_cka = _cka(a, b, batched)
+    sims, grad_sims = _sims(a, b, anchor, batched)
+    return MgLoss(
+        weight_cka * cka + weight_sims * sims,
+        weight_cka * grad_cka + weight_sims * grad_sims,
+        cka,
+        sims,
+    )
+
+
+_CREC_TERMS = (
+    ("direct semantic reconstruction", "voxels_sem", "recon_sem_direct"),
+    ("cross detail reconstruction", "voxels_det", "recon_det_cross"),
+    ("direct detail reconstruction", "voxels_det", "recon_det_direct"),
+    ("cross semantic reconstruction", "voxels_sem", "recon_sem_cross"),
+)
+
+
+def _crec(arrays: dict, n: int) -> CrecLoss:
+    """Reconstruction terms of `n` samples from :func:`_batch` arrays keyed by argument name."""
+    value = np.zeros(n)
+    grads = []
+    terms = []
+    for label, signal, name in _CREC_TERMS:
+        recon = arrays[name]
+        if recon is None:
+            grads.append(None)
+            terms.append(None)
+            continue
+        target = arrays[signal]
+        if target is None or target.shape != recon.shape:
+            shape = None if target is None else target.shape[1:]
+            raise ShapeMismatch(f"{label}: target shape {shape} vs reconstruction {recon.shape[1:]}")
+        term, grad = _mse(target, recon)
+        value = value + term
+        grads.append(grad)
+        terms.append(term)
+    return CrecLoss(value, *grads, terms=tuple(terms))
+
+
 def mse_loss(target, pred) -> LossValueGrad:
     """Mean squared error over all entries; gradient is ``2 (pred - target) / count``."""
     t = as_array(target, "target")
     p = as_array(pred, "pred")
     require_same_shape(t, p, "mse_loss")
-    diff = p - t
-    value = float((diff * diff).mean())
-    return LossValueGrad(value, (2.0 / diff.size) * diff)
-
-
-def _anchor_cosines(anchor: np.ndarray, rest: np.ndarray, label: str):
-    """Cosines between an anchor token and each row of `rest`, plus norms."""
-    anchor_norm = float(np.linalg.norm(anchor))
-    if anchor_norm == 0.0:
-        raise DegenerateInput(f"{label}: token 0 is a zero vector")
-    rest_norms = np.linalg.norm(rest, axis=1)
-    zero = np.where(rest_norms == 0.0)[0]
-    if zero.size:
-        raise DegenerateInput(f"{label}: token {int(zero[0]) + 1} is a zero vector")
-    sims = (rest @ anchor) / (rest_norms * anchor_norm)
-    return sims, anchor_norm, rest_norms
+    return _single(LossValueGrad(*_mse(t[None], p[None])))
 
 
 def sims_vector(tokens) -> np.ndarray:
@@ -117,8 +284,8 @@ def sims_vector(tokens) -> np.ndarray:
     m = as_matrix(tokens, "tokens")
     if m.shape[0] < 2:
         raise DegenerateInput("sims_vector requires at least 2 tokens")
-    sims, _, _ = _anchor_cosines(m[0], m[1:], "tokens")
-    return np.clip(sims, -1.0, 1.0)
+    sims, _, _ = _anchor_cosines(m[None, 0], m[None, 1:], "tokens", batched=False)
+    return np.clip(sims[0], -1.0, 1.0)
 
 
 def sims_loss(target, pred, anchor: str = "own_first_token") -> LossValueGrad:
@@ -128,40 +295,8 @@ def sims_loss(target, pred, anchor: str = "own_first_token") -> LossValueGrad:
     ``own_first_token`` mode that includes the path through the
     prediction's first token.
     """
-    if anchor not in ANCHOR_MODES:
-        raise ValueError(f"anchor must be one of {ANCHOR_MODES}, got {anchor!r}")
-    a = as_matrix(target, "target")
-    b = as_matrix(pred, "pred")
-    require_same_shape(a, b, "sims_loss")
-    m = a.shape[0]
-    if m < 2:
-        raise DegenerateInput("sims_loss requires at least 2 tokens")
-
-    s_target, _, _ = _anchor_cosines(a[0], a[1:], "target")
-    rest = b[1:]
-    if anchor == "own_first_token":
-        anchor_vec = b[0]
-        s_pred, anchor_norm, rest_norms = _anchor_cosines(anchor_vec, rest, "pred")
-    else:
-        anchor_vec = a[0]
-        s_pred, anchor_norm, rest_norms = _anchor_cosines(anchor_vec, rest, "pred")
-
-    diff = s_pred - s_target
-    count = m - 1
-    value = float((diff * diff).mean())
-    g = (2.0 / count) * diff  # d value / d s_pred[k]
-
-    grad = np.zeros_like(b)
-    # d cos(u, v_k) / d v_k = u / (|u||v_k|) - cos * v_k / |v_k|^2
-    inv = 1.0 / (rest_norms * anchor_norm)
-    grad[1:] = (
-        g[:, None] * inv[:, None] * anchor_vec[None, :]
-        - (g * s_pred / rest_norms**2)[:, None] * rest
-    )
-    if anchor == "own_first_token":
-        # d cos(b_0, b_k) / d b_0 = b_k / (|b_0||b_k|) - cos * b_0 / |b_0|^2
-        grad[0] = (g * inv) @ rest - float(g @ s_pred) / anchor_norm**2 * anchor_vec
-    return LossValueGrad(value, grad)
+    a, b = _token_pair(as_matrix(target, "target")[None], as_matrix(pred, "pred")[None], "sims_loss")
+    return _single(LossValueGrad(*_sims(a, b, anchor, batched=False)))
 
 
 def cka_loss(target, pred) -> LossValueGrad:
@@ -181,21 +316,7 @@ def cka_loss(target, pred) -> LossValueGrad:
         raise ShapeMismatch(f"row count mismatch: {m} vs {b.shape[0]}")
     if m < 2:
         raise DegenerateInput("cka_loss requires at least 2 rows")
-    k = a @ a.T
-    l = b @ b.T
-    k_c = apply_centering(k)
-    l_c = apply_centering(l)
-    p = float((k_c * l).sum())
-    q = float((k_c * k).sum())
-    r = float((l_c * l).sum())
-    if q <= 0.0:
-        raise DegenerateInput("target is a constant representation")
-    if r <= 0.0:
-        raise DegenerateInput("prediction is a constant representation")
-    denom = np.sqrt(q * r)
-    value = 1.0 - p / denom
-    grad_l = k_c / denom - (p / (r * denom)) * l_c
-    return LossValueGrad(float(value), -2.0 * (grad_l @ b))
+    return _single(LossValueGrad(*_cka(a[None], b[None], batched=False)))
 
 
 def mg_loss(
@@ -210,11 +331,8 @@ def mg_loss(
     Both weights default to 1, matching the unweighted combined objective;
     with unit weights the value decomposes exactly into its components.
     """
-    c = cka_loss(target, pred)
-    s = sims_loss(target, pred, anchor=anchor)
-    value = weight_cka * c.value + weight_sims * s.value
-    grad = weight_cka * c.grad + weight_sims * s.grad
-    return MgLoss(float(value), grad, c.value, s.value)
+    a, b = _token_pair(as_matrix(target, "target")[None], as_matrix(pred, "pred")[None], "mg_loss")
+    return _single(_mg(a, b, anchor, weight_cka, weight_sims, batched=False))
 
 
 def crec_loss(
@@ -234,35 +352,18 @@ def crec_loss(
     reconstruction is None (its path is absent) is left out; its gradient
     and its entry in ``terms`` are None.
     """
-    signals = {"voxels_sem": voxels_sem, "voxels_det": voxels_det}
-    converted = {}
-    pieces = (
-        ("direct semantic reconstruction", "voxels_sem", "recon_sem_direct", recon_sem_direct),
-        ("cross detail reconstruction", "voxels_det", "recon_det_cross", recon_det_cross),
-        ("direct detail reconstruction", "voxels_det", "recon_det_direct", recon_det_direct),
-        ("cross semantic reconstruction", "voxels_sem", "recon_sem_cross", recon_sem_cross),
+    arrays = _batch(
+        dict(
+            voxels_sem=voxels_sem,
+            voxels_det=voxels_det,
+            recon_sem_direct=recon_sem_direct,
+            recon_det_cross=recon_det_cross,
+            recon_det_direct=recon_det_direct,
+            recon_sem_cross=recon_sem_cross,
+        ),
+        batched=False,
     )
-    value = 0.0
-    grads = []
-    terms = []
-    for label, signal, name, recon in pieces:
-        if recon is None:
-            grads.append(None)
-            terms.append(None)
-            continue
-        if signal not in converted:
-            converted[signal] = as_array(signals[signal], signal)
-        tgt = converted[signal]
-        rec = as_array(recon, name)
-        if tgt.shape != rec.shape:
-            raise ShapeMismatch(
-                f"{label}: target shape {tgt.shape} vs reconstruction {rec.shape}"
-            )
-        loss = mse_loss(tgt, rec)
-        value += loss.value
-        grads.append(loss.grad)
-        terms.append(loss.value)
-    return CrecLoss(value, *grads, terms=tuple(terms))
+    return _single(_crec(arrays, 1))
 
 
 def text_total_loss(
@@ -274,18 +375,31 @@ def text_total_loss(
     weight_cka: float = 1.0,
     weight_sims: float = 1.0,
 ) -> TextLoss:
-    """Text-branch objective: multi-granularity embedding loss plus voxel MSE."""
-    mg = mg_loss(text_target, text_pred, anchor, weight_cka, weight_sims)
-    recon = mse_loss(voxels_sem, recon_sem)
-    return TextLoss(
-        value=mg.value + recon.value,
+    """Text-branch objective: multi-granularity embedding loss plus voxel MSE.
+
+    A rank-3 ``text_pred`` is a batch: every argument then has a leading
+    sample axis, the values are ``(n,)`` per-sample losses and the
+    gradients keep the sample axis.
+    """
+    batched = np.ndim(text_pred) == 3
+    x = _batch(
+        dict(text_target=text_target, text_pred=text_pred, voxels_sem=voxels_sem, recon_sem=recon_sem),
+        batched,
+    )
+    target, pred = _token_pair(x["text_target"], x["text_pred"], "text_total_loss")
+    require_same_shape(x["voxels_sem"], x["recon_sem"], "text_total_loss")
+    mg = _mg(target, pred, anchor, weight_cka, weight_sims, batched)
+    recon, grad_recon = _mse(x["voxels_sem"], x["recon_sem"])
+    loss = TextLoss(
+        value=mg.value + recon,
         grad_pred_emb=mg.grad,
-        grad_recon_sem=recon.grad,
+        grad_recon_sem=grad_recon,
         mg_value=mg.value,
         cka_value=mg.cka_value,
         sims_value=mg.sims_value,
-        recon_value=recon.value,
+        recon_value=recon,
     )
+    return loss if batched else _single(loss)
 
 
 def image_total_loss(
@@ -313,35 +427,48 @@ def image_total_loss(
     with one path), so the multi-granularity gradient splits evenly between
     them; the per-path MSE terms add their own gradients on top. The fused
     target is the caller's; training passes the mean of the path targets.
+
+    Rank-3 path predictions are a batch, as in :func:`text_total_loss`.
     """
-    preds = {
-        path: as_matrix(pred, name)
-        for path, name, pred in (("sem", "pred_sem_emb", pred_sem_emb), ("det", "pred_det_emb", pred_det_emb))
-        if pred is not None
-    }
-    fused_pred = fuse_targets(*preds.values())
-    mg = mg_loss(fused_target, fused_pred, anchor, weight_cka, weight_sims)
-    crec = crec_loss(
-        voxels_sem,
-        voxels_det,
-        recon_sem_direct,
-        recon_det_cross,
-        recon_det_direct,
-        recon_sem_cross,
+    batched = np.ndim(pred_det_emb if pred_sem_emb is None else pred_sem_emb) == 3
+    x = _batch(
+        dict(
+            fused_target=fused_target,
+            pred_sem_emb=pred_sem_emb,
+            pred_det_emb=pred_det_emb,
+            sem_emb_target=sem_emb_target,
+            det_emb_target=det_emb_target,
+            voxels_sem=voxels_sem,
+            voxels_det=voxels_det,
+            recon_sem_direct=recon_sem_direct,
+            recon_det_cross=recon_det_cross,
+            recon_det_direct=recon_det_direct,
+            recon_sem_cross=recon_sem_cross,
+        ),
+        batched,
     )
-    targets = {"sem": sem_emb_target, "det": det_emb_target}
-    mses = {path: mse_loss(targets[path], pred) for path, pred in preds.items()}
+    preds = {path: x[f"pred_{path}_emb"] for path in ("sem", "det") if x[f"pred_{path}_emb"] is not None}
+    target, fused_pred = _token_pair(x["fused_target"], fuse_targets(*preds.values()), "image_total_loss")
+    mg = _mg(target, fused_pred, anchor, weight_cka, weight_sims, batched)
+    crec = _crec(x, target.shape[0])
+    mses = {}
+    for path, pred in preds.items():
+        path_target = x[f"{path}_emb_target"]
+        if path_target is None:
+            raise ShapeMismatch(f"{path}_emb_target: required when pred_{path}_emb is given")
+        require_same_shape(path_target, pred, f"{path} path MSE")
+        mses[path] = _mse(path_target, pred)
     value = mg.value + weight_crec * crec.value
-    for mse in mses.values():
-        value += mse.value
+    for mse_value, _ in mses.values():
+        value = value + mse_value
     share = mg.grad / len(preds)
-    grads = {path: share + mse.grad for path, mse in mses.items()}
+    grads = {path: share + mse_grad for path, (_, mse_grad) in mses.items()}
 
     def scaled(grad):
         return None if grad is None else weight_crec * grad
 
-    return ImageLoss(
-        value=float(value),
+    loss = ImageLoss(
+        value=value,
         grad_pred_sem_emb=grads.get("sem"),
         grad_pred_det_emb=grads.get("det"),
         grad_recon_sem_direct=scaled(crec.grad_recon_sem_direct),
@@ -352,9 +479,10 @@ def image_total_loss(
         cka_value=mg.cka_value,
         sims_value=mg.sims_value,
         crec_value=crec.value,
-        sem_mse_value=mses["sem"].value if "sem" in mses else None,
-        det_mse_value=mses["det"].value if "det" in mses else None,
+        sem_mse_value=mses["sem"][0] if "sem" in mses else None,
+        det_mse_value=mses["det"][0] if "det" in mses else None,
     )
+    return loss if batched else _single(loss)
 
 
 def grad_check(f, point, h: float = 1e-5) -> float:

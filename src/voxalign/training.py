@@ -23,7 +23,7 @@ import numpy as np
 
 from .alignment import LayerStack
 from .data import Dataset, fuse_targets, split_regions
-from .errors import DegenerateInput, RangeError, ShapeMismatch, UsageError
+from .errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch, UsageError
 # mg_loss and mse_loss are not called here; perfbench/spans.py traces them in this module.
 from .losses import ANCHOR_MODES, image_total_loss, mg_loss, mse_loss, text_total_loss
 from .metrics import pixcorr, ssim, two_way_identification, SSIM_WINDOW
@@ -153,31 +153,51 @@ def _check_dims(dataset: Dataset, model_cfg: ModelConfig):
         )
 
 
-def _text_batch_loss(text_targets, fwd, voxels_sem, cfg: TrainConfig, want_grads: bool):
+def _ordered_sum(values: np.ndarray) -> float:
+    """Sum per-sample values in sample order, starting from 0.0.
+
+    This is the order a per-sample loop adds in; ``np.sum`` adds pairwise
+    and can differ in the last bit.
+    """
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _require_finite(outputs: dict, where: str):
+    """Raise NumericalFailure naming the first forward output with a non-finite entry."""
+    for name, out in outputs.items():
+        if out is not None and not np.all(np.isfinite(out)):
+            raise NumericalFailure(f"{where}: {name} has non-finite entries")
+
+
+def _text_batch_loss(text_targets, fwd, voxels_sem, cfg: TrainConfig, want_grads: bool, where: str):
+    """Mean text loss of a batch, scored by one batched loss call.
+
+    ``where`` (epoch, loop and batch) labels a numerical failure.
+    """
+    _require_finite({"pred_emb": fwd.pred_emb, "recon_sem": fwd.recon_sem}, where)
+    tl = text_total_loss(
+        text_targets,
+        fwd.pred_emb,
+        voxels_sem,
+        fwd.recon_sem,
+        anchor=cfg.anchor_mode,
+        weight_cka=cfg.weight_cka,
+        weight_sims=cfg.weight_sims,
+    )
     n = fwd.pred_emb.shape[0]
-    sums = {"text_total": 0.0, "text_mg": 0.0, "text_cka": 0.0, "text_sims": 0.0, "text_recon": 0.0}
-    g_pred = np.zeros_like(fwd.pred_emb) if want_grads else None
-    g_recon = np.zeros_like(fwd.recon_sem) if want_grads else None
-    for s in range(n):
-        tl = text_total_loss(
-            text_targets[s],
-            fwd.pred_emb[s],
-            voxels_sem[s],
-            fwd.recon_sem[s],
-            anchor=cfg.anchor_mode,
-            weight_cka=cfg.weight_cka,
-            weight_sims=cfg.weight_sims,
-        )
-        sums["text_total"] += tl.value
-        sums["text_mg"] += tl.mg_value
-        sums["text_cka"] += cfg.weight_cka * tl.cka_value
-        sums["text_sims"] += cfg.weight_sims * tl.sims_value
-        sums["text_recon"] += tl.recon_value
-        if want_grads:
-            g_pred[s] = tl.grad_pred_emb / n
-            g_recon[s] = tl.grad_recon_sem / n
-    means = {k: v / n for k, v in sums.items()}
-    return means, (g_pred, g_recon)
+    values = {
+        "text_total": tl.value,
+        "text_mg": tl.mg_value,
+        "text_cka": cfg.weight_cka * tl.cka_value,
+        "text_sims": cfg.weight_sims * tl.sims_value,
+        "text_recon": tl.recon_value,
+    }
+    means = {k: _ordered_sum(v) / n for k, v in values.items()}
+    grads = (tl.grad_pred_emb / n, tl.grad_recon_sem / n) if want_grads else (None, None)
+    return means, grads
 
 
 _IMAGE_OUTPUTS = (
@@ -186,43 +206,40 @@ _IMAGE_OUTPUTS = (
 )
 
 
-def _image_batch_loss(targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, want_grads: bool):
+def _image_batch_loss(targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, want_grads: bool, where: str):
     """Mean image loss of a batch; ``targets`` is (fused, sem, det), None for an absent path.
 
     Gradients are keyed like the ``image_branch_backward`` keywords.
     """
     fused_t, sem_t, det_t = targets
     outputs = {name: getattr(fwd, name) for name in _IMAGE_OUTPUTS}
+    _require_finite(outputs, where)
+    il = image_total_loss(
+        fused_t,
+        sem_emb_target=sem_t,
+        det_emb_target=det_t,
+        voxels_sem=voxels_sem,
+        voxels_det=voxels_det,
+        **outputs,
+        anchor=cfg.anchor_mode,
+        weight_cka=cfg.weight_cka,
+        weight_sims=cfg.weight_sims,
+        weight_crec=cfg.weight_crec,
+    )
     n = fwd.pred_fused_emb.shape[0]
-    sums = dict.fromkeys(["image_total", "image_mg", "image_cka", "image_sims", "image_crec"], 0.0)
+    values = {
+        "image_total": il.value,
+        "image_mg": il.mg_value,
+        "image_cka": cfg.weight_cka * il.cka_value,
+        "image_sims": cfg.weight_sims * il.sims_value,
+        "image_crec": cfg.weight_crec * il.crec_value,
+        "image_sem_mse": il.sem_mse_value,
+        "image_det_mse": il.det_mse_value,
+    }
+    means = {k: _ordered_sum(v) / n for k, v in values.items() if v is not None}
     grads = {}
     if want_grads:
-        grads = {f"grad_{name}": np.zeros_like(out) for name, out in outputs.items() if out is not None}
-
-    for s in range(n):
-        il = image_total_loss(
-            fused_t[s],
-            sem_emb_target=None if sem_t is None else sem_t[s],
-            det_emb_target=None if det_t is None else det_t[s],
-            voxels_sem=voxels_sem[s],
-            voxels_det=voxels_det[s],
-            **{name: None if out is None else out[s] for name, out in outputs.items()},
-            anchor=cfg.anchor_mode,
-            weight_cka=cfg.weight_cka,
-            weight_sims=cfg.weight_sims,
-            weight_crec=cfg.weight_crec,
-        )
-        sums["image_total"] += il.value
-        sums["image_mg"] += il.mg_value
-        sums["image_cka"] += cfg.weight_cka * il.cka_value
-        sums["image_sims"] += cfg.weight_sims * il.sims_value
-        sums["image_crec"] += cfg.weight_crec * il.crec_value
-        for key, value in (("image_sem_mse", il.sem_mse_value), ("image_det_mse", il.det_mse_value)):
-            if value is not None:
-                sums[key] = sums.get(key, 0.0) + value
-        for key, grad in grads.items():
-            grad[s] = getattr(il, key) / n
-    means = {k: v / n for k, v in sums.items()}
+        grads = {f"grad_{name}": getattr(il, f"grad_{name}") / n for name, out in outputs.items() if out is not None}
     return means, grads
 
 
@@ -230,15 +247,16 @@ def _rows(targets, rows):
     return tuple(None if t is None else t[rows] for t in targets)
 
 
-def _val_components(params, cfg, text_targets, image_targets, voxels_sem, voxels_det):
+def _val_components(params, cfg, text_targets, image_targets, voxels_sem, voxels_det, epoch):
     components = {}
+    where = f"epoch {epoch}, validation"
     tf = text_branch_forward(voxels_sem, params)
-    text_means, _ = _text_batch_loss(text_targets, tf, voxels_sem, cfg, want_grads=False)
+    text_means, _ = _text_batch_loss(text_targets, tf, voxels_sem, cfg, False, where)
     components.update(text_means)
     if image_targets:
         ifwd = image_branch_forward(voxels_sem, voxels_det, params)
         image_means, _ = _image_batch_loss(
-            image_targets, ifwd, voxels_sem, voxels_det, cfg, want_grads=False
+            image_targets, ifwd, voxels_sem, voxels_det, cfg, False, where
         )
         components.update(image_means)
     return components
@@ -269,25 +287,25 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
     step_counts = {}
     history = []
 
-    def _train_text(batch_idx, batch_rng):
+    def _train_text(batch_idx, batch_rng, where):
         fwd = text_branch_forward(voxels_sem[tr][batch_idx], params, rng=batch_rng)
         means, (g_pred, g_recon) = _text_batch_loss(
-            text_targets[tr][batch_idx], fwd, voxels_sem[tr][batch_idx], cfg, True
+            text_targets[tr][batch_idx], fwd, voxels_sem[tr][batch_idx], cfg, True, where
         )
         grads = text_branch_backward(params, fwd, g_pred, g_recon)
         return means, grads
 
-    def _train_image(batch_idx, batch_rng):
+    def _train_image(batch_idx, batch_rng, where):
         fwd = image_branch_forward(
             voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], params, rng=batch_rng
         )
         batch_targets = _rows(_rows(image_targets, tr), batch_idx)
         means, out_grads = _image_batch_loss(
-            batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], cfg, True
+            batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], cfg, True, where
         )
         return means, image_branch_backward(params, fwd, **out_grads)
 
-    def _apply(grads, counter: str):
+    def _apply(grads, counter: str, where: str):
         # Joint training shares one step count; separate-branch loops keep
         # their own so Adam's bias correction matches each loop's history.
         step_counts[counter] = step_counts.get(counter, 0) + 1
@@ -296,10 +314,13 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
             m={name: state.m[name] for name in grads},
             v={name: state.v[name] for name in grads},
         )
-        new_tensors, new_state = adam_step(
-            subset, grads, sub_state, step_counts[counter],
-            cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
-        )
+        try:
+            new_tensors, new_state = adam_step(
+                subset, grads, sub_state, step_counts[counter],
+                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
+            )
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"{where}: {exc}") from exc
         params.tensors = {**params.tensors, **new_tensors}
         state.m.update(new_state.m)
         state.v.update(new_state.v)
@@ -318,34 +339,37 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
             for b, lo_i in enumerate(range(0, n_train, cfg.batch_size)):
                 idx = perm[lo_i : lo_i + cfg.batch_size]
                 batch_rng = rng.child(f"masks/{epoch}/{b}")
-                text_means, grads = _train_text(idx, batch_rng.child("text"))
+                where = f"epoch {epoch}, batch {b}"
+                text_means, grads = _train_text(idx, batch_rng.child("text"), where)
                 if paths:
-                    image_means, image_grads = _train_image(idx, batch_rng.child("image"))
+                    image_means, image_grads = _train_image(idx, batch_rng.child("image"), where)
                     grads.update(image_grads)
                     _accumulate(image_means, len(idx))
                 _accumulate(text_means, len(idx))
-                _apply(grads, "joint")
+                _apply(grads, "joint", where)
         else:
             text_bs = cfg.text_batch_size or cfg.batch_size
             perm = rng.child(f"shuffle-text/{epoch}").permutation(n_train)
             for b, lo_i in enumerate(range(0, n_train, text_bs)):
                 idx = perm[lo_i : lo_i + text_bs]
-                means, grads = _train_text(idx, rng.child(f"masks-text/{epoch}/{b}"))
+                where = f"epoch {epoch}, text loop batch {b}"
+                means, grads = _train_text(idx, rng.child(f"masks-text/{epoch}/{b}"), where)
                 _accumulate(means, len(idx))
-                _apply(grads, "text")
+                _apply(grads, "text", where)
             if paths:
                 image_bs = cfg.image_batch_size or cfg.batch_size
                 perm = rng.child(f"shuffle-image/{epoch}").permutation(n_train)
                 for b, lo_i in enumerate(range(0, n_train, image_bs)):
                     idx = perm[lo_i : lo_i + image_bs]
-                    means, grads = _train_image(idx, rng.child(f"masks-image/{epoch}/{b}"))
+                    where = f"epoch {epoch}, image loop batch {b}"
+                    means, grads = _train_image(idx, rng.child(f"masks-image/{epoch}/{b}"), where)
                     _accumulate(means, len(idx))
-                    _apply(grads, "image")
+                    _apply(grads, "image", where)
 
         train_components = {k: epoch_sums[k] / epoch_counts[k] for k in sorted(epoch_sums)}
         val_components = _val_components(
             params, cfg, text_targets[te], image_targets and _rows(image_targets, te),
-            voxels_sem[te], voxels_det[te],
+            voxels_sem[te], voxels_det[te], epoch,
         )
         history.append({"epoch": epoch, "train": train_components, "val": val_components})
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voxalign.cli import main
@@ -128,6 +130,24 @@ class TestTrain:
         code = main(["eval", "--ckpt", str(ckpt), "--data", str(other),
                      "--out", str(tmp_path / "eval_out"), "--quiet"])
         assert code == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        # the forward output overflows first
+        ("learning_rate=1e200\n", r"epoch \d+, batch \d+: pred_emb has non-finite entries"),
+        ("learning_rate=1e200\nseparate_branches=true\n",
+         r"epoch \d+, text loop batch \d+: pred_emb has non-finite entries"),
+        # the gradients overflow before any forward output does
+        ("learning_rate=1e30\n", r"epoch \d+, batch \d+: non-finite gradient for tensor '[\w.]+'"),
+    ])
+    def test_numerical_blow_up_exit_3(self, workspace, tmp_path, capsys, extra, message):
+        cfg = tmp_path / "blow_up.cfg"
+        cfg.write_text(SMALL_TRAIN + extra)
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                         "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 3
+        assert re.search("numerical failure: " + message, capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import loss_reference as ref
+from voxalign import losses
 from voxalign.errors import DegenerateInput, ShapeMismatch
 from voxalign.linalg import cosine
 from voxalign.losses import (
@@ -385,3 +387,179 @@ class TestGradCheckHarness:
             return LossValueGrad(out.value, 2.0 * out.grad)
 
         assert grad_check(broken, p, 1e-5) > 0.1
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _batch(seed, n, m, d):
+    r = Rng(seed, f"batch-{n}-{m}-{d}")
+    return r.child("a").normal(n, m, d), r.child("b").normal(n, m, d)
+
+
+# (n, m, d): a batch of one, the 12x16 image shape, and edge token/width counts.
+BATCH_SHAPES = [(1, 4, 3), (32, 12, 16), (5, 2, 1), (7, 2, 9), (6, 13, 1), (3, 9, 19), (4, 3, 2)]
+ANCHORS = ["own_first_token", "target_first_token"]
+
+
+class TestBatchedKernelsMatchReference:
+    """Every batched kernel reproduces the per-sample reference bit for bit."""
+
+    @pytest.mark.parametrize("n,m,d", BATCH_SHAPES)
+    def test_mse(self, n, m, d):
+        a, b = _batch(0, n, m, d)
+        values, grads = losses._mse(a, b)
+        for s in range(n):
+            value, grad = ref.mse_loss(a[s], b[s])
+            assert values[s] == value and _same_bits(grads[s], grad)
+
+    @pytest.mark.parametrize("n,m,d", BATCH_SHAPES)
+    def test_cka(self, n, m, d):
+        a, b = _batch(1, n, m, d)
+        values, grads = losses._cka(a, b, batched=True)
+        for s in range(n):
+            value, grad = ref.cka_loss(a[s], b[s])
+            assert values[s] == value and _same_bits(grads[s], grad)
+
+    @pytest.mark.parametrize("anchor", ANCHORS)
+    @pytest.mark.parametrize("n,m,d", BATCH_SHAPES)
+    def test_sims(self, n, m, d, anchor):
+        a, b = _batch(2, n, m, d)
+        values, grads = losses._sims(a, b, anchor, batched=True)
+        for s in range(n):
+            value, grad = ref.sims_loss(a[s], b[s], anchor)
+            assert values[s] == value and _same_bits(grads[s], grad)
+
+    def test_sims_anchor_square_rounding(self):
+        # The reference squares |b_0| as a Python float (libm pow), which
+        # differs from x * x in the last bit for about one norm in a
+        # thousand. Keep only such samples; the kernel must match them too.
+        r = Rng(3, "pow")
+        a, b = r.child("a").normal(20000, 3, 2), r.child("b").normal(20000, 3, 2)
+        norms = [float(np.linalg.norm(anchor)) for anchor in b[:, 0]]
+        picked = [s for s, x in enumerate(norms) if x**2 != x * x]
+        assert len(picked) >= 5
+        values, grads = losses._sims(a[picked], b[picked], "own_first_token", batched=True)
+        for i, s in enumerate(picked):
+            value, grad = ref.sims_loss(a[s], b[s], "own_first_token")
+            assert values[i] == value and _same_bits(grads[i], grad)
+
+    @pytest.mark.parametrize("m,d", [(2, 1), (4, 3), (12, 16), (13, 19)])
+    def test_single_sample_api(self, m, d):
+        a, b = _batch(4, 1, m, d)
+        a, b = a[0], b[0]
+        for got, want in (
+            (mse_loss(a, b), ref.mse_loss(a, b)),
+            (cka_loss(a, b), ref.cka_loss(a, b)),
+            (sims_loss(a, b, "own_first_token"), ref.sims_loss(a, b, "own_first_token")),
+            (sims_loss(a, b, "target_first_token"), ref.sims_loss(a, b, "target_first_token")),
+        ):
+            assert type(got.value) is float
+            assert got.value == want[0] and _same_bits(got.grad, want[1])
+        got = mg_loss(a, b, "target_first_token", 0.5, 2.0)
+        want = ref.mg_loss(a, b, "target_first_token", 0.5, 2.0)
+        assert (got.value, got.cka_value, got.sims_value) == (want[0], want[2], want[3])
+        assert _same_bits(got.grad, want[1])
+
+
+def _image_args(seed, n, paths):
+    r = Rng(seed, "image-batch")
+    m, d, n_s, n_d = 5, 4, 6, 7
+    args = dict.fromkeys(
+        ("pred_sem_emb", "pred_det_emb", "sem_emb_target", "det_emb_target",
+         "recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross"),
+    )
+    args["voxels_sem"] = r.child("vs").normal(n, n_s)
+    args["voxels_det"] = r.child("vd").normal(n, n_d)
+    for path in paths:
+        args[f"pred_{path}_emb"] = r.child(f"p{path}").normal(n, m, d)
+        args[f"{path}_emb_target"] = r.child(f"t{path}").normal(n, m, d)
+        args[f"recon_{path}_direct"] = r.child(f"rd{path}").normal(n, n_s if path == "sem" else n_d)
+    if len(paths) == 2:
+        args["recon_det_cross"] = r.child("rdc").normal(n, n_d)
+        args["recon_sem_cross"] = r.child("rsc").normal(n, n_s)
+    targets = [args[f"{path}_emb_target"] for path in paths]
+    args["fused_target"] = targets[0] if len(targets) == 1 else 0.5 * (targets[0] + targets[1])
+    return args
+
+
+WEIGHTS = [("own_first_token", 1.0, 1.0, 1.0), ("target_first_token", 0.5, 2.0, 0.3)]
+
+
+class TestBatchedTotalsMatchReference:
+    @pytest.mark.parametrize("anchor,w_cka,w_sims,w_crec", WEIGHTS)
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_text_total(self, n, anchor, w_cka, w_sims, w_crec):
+        a, b = _batch(5, n, 6, 5)
+        r = Rng(6, "text-batch")
+        vox, recon = r.child("v").normal(n, 8), r.child("r").normal(n, 8)
+        out = text_total_loss(a, b, vox, recon, anchor, w_cka, w_sims)
+        assert out.value.shape == (n,) and out.grad_pred_emb.shape == (n, 6, 5)
+        for s in range(n):
+            want = ref.text_total_loss(a[s], b[s], vox[s], recon[s], anchor, w_cka, w_sims)
+            for name, value in want.items():
+                assert _same_bits(getattr(out, name)[s], value), name
+
+    @pytest.mark.parametrize("anchor,w_cka,w_sims,w_crec", WEIGHTS)
+    @pytest.mark.parametrize("paths", [("sem", "det"), ("sem",), ("det",)])
+    def test_image_total(self, paths, anchor, w_cka, w_sims, w_crec):
+        n = 7
+        args = _image_args(7, n, paths)
+        out = image_total_loss(
+            **args, anchor=anchor, weight_cka=w_cka, weight_sims=w_sims, weight_crec=w_crec
+        )
+        for s in range(n):
+            want = ref.image_total_loss(
+                {k: None if v is None else v[s] for k, v in args.items()},
+                anchor, w_cka, w_sims, w_crec,
+            )
+            for name, value in want.items():
+                got = getattr(out, name)
+                if value is None:
+                    assert got is None, name
+                else:
+                    assert _same_bits(got[s], value), name
+
+    def test_single_sample_total_is_batch_of_one(self):
+        args = _image_args(8, 1, ("sem", "det"))
+        batched = image_total_loss(**args)
+        single = image_total_loss(**{k: v[0] for k, v in args.items()})
+        assert type(single.value) is float and single.value == batched.value[0]
+        assert _same_bits(single.grad_pred_sem_emb, batched.grad_pred_sem_emb[0])
+
+    def test_sample_counts_must_agree(self):
+        a, b = _batch(9, 4, 3, 2)
+        with pytest.raises(ShapeMismatch, match="sample counts"):
+            text_total_loss(a, b, np.ones((3, 5)), np.ones((3, 5)))
+
+
+class TestBatchedErrors:
+    def test_zero_token_names_sample(self):
+        a, b = _batch(10, 8, 5, 3)
+        b[5, 3] = 0.0
+        with pytest.raises(DegenerateInput, match="^sample 5: pred token 3 is a zero vector$"):
+            text_total_loss(a, b, np.ones((8, 4)), np.zeros((8, 4)))
+
+    def test_constant_representation_names_sample(self):
+        a, b = _batch(11, 6, 4, 3)
+        b[2] = b[2, 0]
+        with pytest.raises(DegenerateInput, match="^sample 2: prediction is a constant representation$"):
+            text_total_loss(a, b, np.ones((6, 4)), np.zeros((6, 4)))
+
+    def test_single_sample_messages_unchanged(self):
+        a, b = _batch(12, 1, 4, 3)
+        b[0, 2] = 0.0
+        with pytest.raises(DegenerateInput, match="^pred: token 2 is a zero vector$"):
+            sims_loss(a[0], b[0])
+        with pytest.raises(DegenerateInput, match="^prediction is a constant representation$"):
+            cka_loss(a[0], np.ones((4, 3)))
+
+    def test_non_finite_input_is_degenerate(self):
+        a, b = _batch(13, 3, 4, 3)
+        b[1, 0, 0] = np.nan
+        with pytest.raises(DegenerateInput, match="non-finite"):
+            text_total_loss(a, b, np.ones((3, 4)), np.zeros((3, 4)))
+        with pytest.raises(DegenerateInput, match="non-finite"):
+            mse_loss(a[1], b[1])

@@ -1,10 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
-from voxalign.data import SynthConfig, synth_generate
+import loss_reference as ref
+from voxalign import training
+from voxalign.data import SynthConfig, split_regions, synth_generate
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
-from voxalign.model import ModelConfig, image_paths, init_params
+from voxalign.model import (
+    ModelConfig,
+    image_branch_forward,
+    image_paths,
+    init_params,
+    text_branch_forward,
+)
 from voxalign.rng import Rng
 from voxalign.training import (
     TrainConfig,
@@ -114,6 +123,69 @@ class TestTrainBasics:
         _, a = train(ds, cfg, tc)
         _, b = train(ds, cfg, tc)
         assert report_fingerprint(a) == report_fingerprint(b)
+
+
+class TestBatchedLossMatchesReference:
+    """One batched loss call per batch equals scoring each sample on its own."""
+
+    @staticmethod
+    def _setup(variant, **train_overrides):
+        ds = small_dataset()
+        cfg = small_train(**train_overrides)
+        params = init_params(small_model(), Rng(2, "train").child("init"), variant)
+        voxels_sem, voxels_det = split_regions(ds.voxels, ds.mask)
+        rows = np.arange(32)
+        return ds, cfg, params, voxels_sem[rows], voxels_det[rows], rows
+
+    @staticmethod
+    def _same(got, want):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+    @pytest.mark.parametrize("overrides", [{}, dict(anchor_mode="target_first_token", weight_cka=0.5, weight_sims=2.0)])
+    def test_text_batch(self, overrides):
+        ds, cfg, params, vox_sem, _, rows = self._setup("full", **overrides)
+        fwd = text_branch_forward(vox_sem, params, rng=Rng(3, "masks"))
+        targets = ds.text_targets()[rows]
+        means, (g_pred, g_recon) = training._text_batch_loss(targets, fwd, vox_sem, cfg, True, "test")
+        want_means, (want_pred, want_recon) = ref.text_batch_loss(
+            targets, fwd.pred_emb, fwd.recon_sem, vox_sem, cfg
+        )
+        self._same(means, want_means)
+        self._same({"pred": g_pred, "recon": g_recon}, {"pred": want_pred, "recon": want_recon})
+
+    @pytest.mark.parametrize("variant", ["full", "text_semantic", "text_detail"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(anchor_mode="target_first_token", weight_cka=0.5, weight_sims=2.0, weight_crec=0.3)],
+    )
+    def test_image_batch(self, variant, overrides):
+        ds, cfg, params, vox_sem, vox_det, rows = self._setup(variant, **overrides)
+        by_path = ds.image_targets(2, 5, True)
+        paths = image_paths(variant)
+        targets = (
+            training.effective_image_target(variant, by_path)[rows],
+            by_path["sem"][rows] if "sem" in paths else None,
+            by_path["det"][rows] if "det" in paths else None,
+        )
+        fwd = image_branch_forward(vox_sem, vox_det, params, rng=Rng(4, "masks"))
+        means, grads = training._image_batch_loss(targets, fwd, vox_sem, vox_det, cfg, True, "test")
+        args = {name: getattr(fwd, name) for name in training._IMAGE_OUTPUTS}
+        args.update(
+            fused_target=targets[0], sem_emb_target=targets[1], det_emb_target=targets[2],
+            voxels_sem=vox_sem, voxels_det=vox_det,
+        )
+        want_means, want_grads = ref.image_batch_loss(args, cfg)
+        self._same(means, want_means)
+        self._same(grads, want_grads)
+
+    def test_ordered_sum_is_the_loop_order(self):
+        values = Rng(5, "sum").normal(64) * 10.0 ** np.arange(-32, 32)
+        total = 0.0
+        for value in values:
+            total += float(value)
+        assert training._ordered_sum(values) == total
 
 
 class TestLayerRange:
