@@ -18,7 +18,8 @@ import numpy as np
 
 from ._arrays import as_matrix
 from .errors import DegenerateInput, RangeError, ShapeMismatch
-from .linalg import apply_centering, gram_linear, ridge_solve, spearman
+from . import linalg
+from .linalg import apply_centering, gram_linear, pearson, ridge_solve, spearman
 
 log = logging.getLogger("voxalign")
 
@@ -37,8 +38,11 @@ def hsic(a, b) -> float:
         raise ShapeMismatch(f"row count mismatch: {m} vs {bm.shape[0]}")
     if m < 2:
         raise DegenerateInput("hsic requires at least 2 rows")
-    k_centered = apply_centering(gram_linear(am))
-    l_kernel = gram_linear(bm)
+    return _hsic(apply_centering(gram_linear(am)), gram_linear(bm))
+
+
+def _hsic(k_centered: np.ndarray, l_kernel: np.ndarray) -> float:
+    m = k_centered.shape[0]
     return float((k_centered * l_kernel).sum() / (m - 1) ** 2)
 
 
@@ -51,9 +55,10 @@ def cka(a, b) -> float:
     """
     am = as_matrix(a, "a")
     bm = as_matrix(b, "b")
-    cross = hsic(am, bm)
-    self_a = hsic(am, am)
-    self_b = hsic(bm, bm)
+    return _cka(hsic(am, bm), hsic(am, am), hsic(bm, bm))
+
+
+def _cka(cross: float, self_a: float, self_b: float) -> float:
     if self_a <= 0.0:
         raise DegenerateInput("first argument is a constant representation")
     if self_b <= 0.0:
@@ -179,13 +184,25 @@ def layer_cka_heatmap(stack: LayerStack) -> np.ndarray:
     n = stack.n_layers
     if n < 2:
         raise DegenerateInput("heatmap requires at least 2 layers")
+    if stack.n_stimuli < 2:
+        raise DegenerateInput("heatmap requires at least 2 stimuli")
+    # Each layer's Gram matrix once; each centered Gram once, while its row
+    # of cross terms and its self-HSIC are taken from it.
+    grams = [gram_linear(f) for f in stack.features]
+    self_hsic = np.empty(n)
+    cross = np.empty((n, n))
+    for i in range(n):
+        k_centered = apply_centering(grams[i])
+        self_hsic[i] = _hsic(k_centered, grams[i])
+        for j in range(i + 1, n):
+            cross[i, j] = _hsic(k_centered, grams[j])
     out = np.eye(n, dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                value = cka(stack.features[i], stack.features[j])
-            except (DegenerateInput, ShapeMismatch) as exc:
-                raise type(exc)(
+                value = _cka(cross[i, j], self_hsic[i], self_hsic[j])
+            except DegenerateInput as exc:
+                raise DegenerateInput(
                     f"layers ({stack.layer_ids[i]}, {stack.layer_ids[j]}): {exc}"
                 ) from exc
             out[i, j] = value
@@ -227,13 +244,18 @@ def region_layer_rsa(
     if n < 3:
         raise DegenerateInput("region_layer_rsa requires at least 3 stimuli")
 
+    # Each distinct RDM is ranked once; RSA is then Pearson over the ranks,
+    # exactly what ``rsa`` computes pair by pair.
     rows: list[RsaTableRow] = []
     if mode == "raw":
-        layer_rdms = [rdm_from_features(f) for f in stack.features]
+        layer_ranks = [
+            _upper_ranks(rdm_from_features(f), f"layer {i}")
+            for i, f in zip(stack.layer_ids, stack.features)
+        ]
         for name, mat in region_mats:
-            region_rdm = rdm_from_features(mat)
-            for layer_id, layer_rdm in zip(stack.layer_ids, layer_rdms):
-                rows.append(RsaTableRow(name, layer_id, rsa(region_rdm, layer_rdm)))
+            region_ranks = _upper_ranks(rdm_from_features(mat), f"region {name}")
+            for layer_id, ranks in zip(stack.layer_ids, layer_ranks):
+                rows.append(RsaTableRow(name, layer_id, pearson(region_ranks, ranks)))
         return rows
 
     fit_idx = np.arange(0, n, 2)
@@ -242,14 +264,28 @@ def region_layer_rsa(
         raise DegenerateInput(
             f"ridge mode needs >= 3 evaluation stimuli, got {eval_idx.size}"
         )
+    layer_ranks = [
+        _upper_ranks(rdm_from_features(f[eval_idx]), f"layer {i}")
+        for i, f in zip(stack.layer_ids, stack.features)
+    ]
     for name, mat in region_mats:
-        for layer_id in stack.layer_ids:
-            layer_feat = stack.layer(layer_id)
+        for layer_id, layer_feat, ranks in zip(stack.layer_ids, stack.features, layer_ranks):
             weights = ridge_solve(mat[fit_idx], layer_feat[fit_idx], ridge_lambda)
             predicted = mat[eval_idx] @ weights
-            sim = rsa(rdm_from_features(predicted), rdm_from_features(layer_feat[eval_idx]))
-            rows.append(RsaTableRow(name, layer_id, sim))
+            predicted_ranks = _upper_ranks(
+                rdm_from_features(predicted), f"region {name} predicting layer {layer_id}"
+            )
+            rows.append(RsaTableRow(name, layer_id, pearson(predicted_ranks, ranks)))
     return rows
+
+
+def _upper_ranks(rdm: Rdm, label: str) -> np.ndarray:
+    """Fractional ranks of an RDM's strict upper triangle, as ``rsa`` ranks it."""
+    upper = rdm.upper_triangle()
+    if np.all(upper == upper[0]):
+        raise DegenerateInput(f"{label}: all-equal RDM has no rank ordering")
+    # Looked up on the module, where the benchmark's tracer counts rankings.
+    return linalg.fractional_ranks(upper)
 
 
 def _fmt(value: float) -> str:

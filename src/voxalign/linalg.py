@@ -68,19 +68,21 @@ def pearson(x, y) -> float:
 
 
 def fractional_ranks(x) -> np.ndarray:
-    """Ranks starting at 1; tied values receive the average of their ranks."""
+    """Ranks starting at 1; tied values receive the average of their ranks.
+
+    The same values as ``scipy.stats.rankdata(x, method="average")``,
+    computed here so that importing the package does not load
+    ``scipy.stats``.
+    """
     xv = as_vector(x, "x")
-    n = xv.shape[0]
-    order = np.argsort(xv, kind="stable")
+    order = np.argsort(xv)
     sorted_x = xv[order]
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Sorted positions where a run of equal values starts, then the end.
+    bounds = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1], True])
+    # A run over sorted positions i..j shares the rank (i + j) / 2 + 1.
+    run_ranks = 0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0
+    ranks = np.empty(xv.shape[0])
+    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
     return ranks
 
 

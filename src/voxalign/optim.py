@@ -36,8 +36,9 @@ def adam_step(
 ):
     """One bias-corrected Adam update; returns new tensors and new state.
 
-    `t` is the 1-based step count including this update. Non-finite
-    gradients abort with the offending tensor named.
+    `t` is the 1-based step count including this update. A non-finite
+    gradient, or a finite one whose second moment overflows, aborts with
+    the offending tensor named.
     """
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
@@ -52,10 +53,17 @@ def adam_step(
             raise ShapeMismatch(
                 f"gradient for {name!r} has shape {g.shape}, expected {param.shape}"
             )
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailure(f"non-finite gradient for tensor {name!r}")
+        with np.errstate(over="ignore"):
+            v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
+        # A non-finite gradient makes v non-finite too, so one check covers
+        # both it and a finite gradient whose square overflows.
+        if not np.isfinite(v).all():
+            if not np.isfinite(g).all():
+                raise NumericalFailure(f"non-finite gradient for tensor {name!r}")
+            raise NumericalFailure(
+                f"second moment of the gradient overflows for tensor {name!r}"
+            )
         m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         new_tensors[name] = param - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)

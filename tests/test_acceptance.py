@@ -10,11 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from lasso_reference import soft_threshold
 
 from voxalign.alignment import cka, hsic, rdm_from_features, rsa
 from voxalign.data import SynthConfig, synth_generate, split_regions
 from voxalign.errors import FormatError
-from voxalign.lasso import backproject, kkt_violation, lasso_fit, soft_threshold
+from voxalign.lasso import backproject, kkt_violation, lasso_fit
 from voxalign.losses import (
     crec_loss,
     image_total_loss,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxalign import alignment, linalg
 from voxalign.alignment import (
     LayerStack,
     Rdm,
@@ -14,7 +15,7 @@ from voxalign.alignment import (
     write_square_csv,
 )
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
-from voxalign.linalg import pearson
+from voxalign.linalg import pearson, ridge_solve
 from voxalign.rng import Rng
 
 
@@ -217,13 +218,77 @@ class TestLayerCkaHeatmap:
         across = np.mean([h[0, 2], h[0, 3], h[1, 2], h[1, 3]])
         assert within > across
 
+    def test_matches_pairwise_cka_bit_for_bit(self, monkeypatch):
+        r = Rng(8, "heat")
+        stack = LayerStack(
+            (2, 4, 6, 8), tuple(r.child(str(i)).normal(15, 6) for i in range(4))
+        )
+        expected = np.eye(4)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    expected[i, j] = cka(stack.features[min(i, j)], stack.features[max(i, j)])
+        calls = []
+        monkeypatch.setattr(alignment, "gram_linear", counted(alignment.gram_linear, calls))
+        assert layer_cka_heatmap(stack).tobytes() == expected.tobytes()
+        assert len(calls) == 4
+
     def test_error_names_layers(self):
         stack = LayerStack((1, 5), (np.ones((4, 3)), Rng(0, "h").normal(4, 3)))
         with pytest.raises(DegenerateInput, match=r"layers \(1, 5\)"):
             layer_cka_heatmap(stack)
 
 
+def counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def rsa_problem(seed):
+    stack = make_stack(seed=seed, n=17, width=7)
+    r = Rng(seed, "rsa-regions")
+    regions = [("low", r.child("low").normal(17, 5)), ("high", r.child("high").normal(17, 9))]
+    return regions, stack
+
+
 class TestRegionLayerRsa:
+    def test_raw_matches_pairwise_rsa_ranking_each_rdm_once(self, monkeypatch):
+        regions, stack = rsa_problem(14)
+        expected = [
+            (name, layer_id, rsa(rdm_from_features(mat), rdm_from_features(stack.layer(layer_id))))
+            for name, mat in regions for layer_id in stack.layer_ids
+        ]
+        calls = []
+        monkeypatch.setattr(linalg, "fractional_ranks", counted(linalg.fractional_ranks, calls))
+        rows = region_layer_rsa(regions, stack, mode="raw")
+        assert [tuple(row) for row in rows] == expected
+        assert len(calls) == len(regions) + stack.n_layers
+
+    def test_ridge_matches_pairwise_rsa_ranking_each_rdm_once(self, monkeypatch):
+        regions, stack = rsa_problem(15)
+        fit, held = np.arange(0, 17, 2), np.arange(1, 17, 2)
+        expected = []
+        for name, mat in regions:
+            for layer_id in stack.layer_ids:
+                layer = stack.layer(layer_id)
+                predicted = mat[held] @ ridge_solve(mat[fit], layer[fit], 0.5)
+                similarity = rsa(rdm_from_features(predicted), rdm_from_features(layer[held]))
+                expected.append((name, layer_id, similarity))
+        calls = []
+        monkeypatch.setattr(linalg, "fractional_ranks", counted(linalg.fractional_ranks, calls))
+        rows = region_layer_rsa(regions, stack, mode="ridge", ridge_lambda=0.5)
+        assert [tuple(row) for row in rows] == expected
+        assert len(calls) == len(regions) * stack.n_layers + stack.n_layers
+
+    def test_all_equal_rdm_names_region(self):
+        # One-hot rows are pairwise equally correlated: every distance is 1.5.
+        stack = LayerStack((1,), (Rng(16, "eq").normal(3, 4),))
+        with pytest.raises(DegenerateInput, match="region eq: all-equal RDM"):
+            region_layer_rsa([("eq", np.eye(3))], stack, mode="raw")
+
     def test_identical_region_scores_one_raw(self):
         stack = make_stack(seed=9)
         rows = region_layer_rsa([("mirror", stack.features[2])], stack, mode="raw")

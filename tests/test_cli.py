@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from voxalign.cli import main
+from voxalign.matio import load_matrix, save_matrix
 
 SMALL_GEN = """
 n_train=48
@@ -138,6 +139,9 @@ class TestTrain:
          r"epoch \d+, text loop batch \d+: pred_emb has non-finite entries"),
         # the gradients overflow before any forward output does
         ("learning_rate=1e30\n", r"epoch \d+, batch \d+: non-finite gradient for tensor '[\w.]+'"),
+        # finite gradients whose squares overflow Adam's second moment
+        ("weight_crec=1e306\n",
+         r"epoch \d+, batch \d+: second moment of the gradient overflows for tensor '[\w.]+'"),
     ])
     def test_numerical_blow_up_exit_3(self, workspace, tmp_path, capsys, extra, message):
         cfg = tmp_path / "blow_up.cfg"
@@ -278,6 +282,18 @@ class TestBackproject:
             assert len(lines) == 3
             assert lines[1].startswith("low_level,")
             assert lines[2].startswith("high_level,")
+
+    def test_constant_voxel_column_exit_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        voxels = load_matrix(data / "voxels.mat1")
+        voxels[:, 5] = 0.7
+        save_matrix(voxels, data / "voxels.mat1")
+        code = main(["backproject", "--ckpt", str(workspace / "run" / "checkpoint"),
+                     "--data", str(data), "--out", str(tmp_path / "bp"), "--quiet"])
+        assert code == 2
+        assert "predictor column 5 is constant" in capsys.readouterr().err
+        assert not (tmp_path / "bp").exists()
 
     def test_bad_lambda_exit_2(self, workspace):
         code = main(["backproject", "--ckpt", str(workspace / "run" / "checkpoint"),

@@ -1,9 +1,14 @@
+import dataclasses
+
+import lasso_reference as ref
 import numpy as np
 import pytest
+from lasso_reference import soft_threshold
 
+from voxalign import lasso
 from voxalign.data import RegionMask
 from voxalign.errors import DegenerateInput, ShapeMismatch
-from voxalign.lasso import backproject, kkt_violation, lasso_fit, soft_threshold
+from voxalign.lasso import backproject, kkt_violation, lasso_fit
 from voxalign.linalg import ridge_solve
 from voxalign.rng import Rng
 
@@ -96,6 +101,89 @@ class TestLassoFit:
             lasso_fit(np.ones((4, 2)), np.ones(5), 0.1)
 
 
+def column_problem(seed, n, p, k):
+    """Responses whose signal strength grows across columns, so that the
+    columns need different numbers of sweeps."""
+    r = Rng(seed, "lasso-cols")
+    x = r.child("x").normal(n, p)
+    signal = (x @ r.child("w").normal(p, k)) * np.linspace(0.0, 2.0, k)
+    return x, signal + r.child("e").normal(n, k)
+
+
+def lambda_max(x, y):
+    x_std = (x - x.mean(axis=0)) / x.std(axis=0)
+    return np.abs(x_std.T @ (y - y.mean(axis=0)) / x.shape[0]).max()
+
+
+def assert_matches_reference(x, y, lam):
+    """Every column of one solver call equals its own scalar reference fit."""
+    fits = lasso_fit(x, y, lam)
+    for col in range(y.shape[1]):
+        want = ref.lasso_fit(x, y[:, col], lam)
+        assert fits.beta[:, col].tobytes() == want.beta.tobytes(), col
+        assert fits.beta_std[:, col].tobytes() == want.beta_std.tobytes(), col
+        assert fits.intercept[col] == want.intercept, col
+        assert fits.column_sweeps[col] == want.sweeps, col
+        assert fits.column_converged[col] == want.converged, col
+        got = lasso_fit(x, y[:, col], lam)
+        assert got.beta.tobytes() == want.beta.tobytes(), col
+        assert got.beta_std.tobytes() == want.beta_std.tobytes(), col
+        assert got.intercept == want.intercept, col
+        assert (got.sweeps, got.converged, got.lam) == (want.sweeps, want.converged, want.lam)
+    assert fits.sweeps == fits.column_sweeps.sum()
+    assert fits.converged == fits.column_converged.all()
+    return fits
+
+
+class TestColumnSolver:
+    @pytest.mark.parametrize("k,p,lam", [
+        (1, 1, 1e-7),
+        (1, 30, 0.01),
+        (3, 1, 0.2),
+        (7, 5, 1e-7),
+        (13, 30, 1e-3),
+        (24, 9, 0.05),
+        (50, 12, 0.01),
+        (50, 30, 0.3),
+    ])
+    def test_bit_identical_to_scalar_reference(self, k, p, lam):
+        x, y = column_problem(k * 100 + p, 40 + p, p, k)
+        assert_matches_reference(x, y, lam)
+
+    def test_columns_freeze_in_different_sweeps(self):
+        x, y = column_problem(8, 60, 10, 30)
+        fits = assert_matches_reference(x, y, 0.02)
+        assert fits.converged
+        assert len(set(fits.column_sweeps.tolist())) > 3
+
+    def test_above_lambda_max_all_zero_in_one_sweep(self):
+        x, y = column_problem(9, 35, 6, 11)
+        fits = assert_matches_reference(x, y, 1.01 * lambda_max(x, y))
+        np.testing.assert_array_equal(fits.beta_std, np.zeros((6, 11)))
+        assert (fits.column_sweeps == 1).all() and fits.converged
+
+    def test_sweep_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(lasso, "MAX_SWEEPS", 3)
+        x, y = column_problem(10, 30, 8, 20)
+        y[:, 0] = 1e-3 * Rng(10, "flat").normal(30)  # below lambda: zero in one sweep
+        fits = assert_matches_reference(x, y, 0.05)
+        assert fits.column_converged.any() and not fits.converged
+        assert (fits.column_sweeps[~fits.column_converged] == 3).all()
+
+    def test_response_of_rank_three_rejected(self):
+        with pytest.raises(ShapeMismatch, match="1-D or 2-D"):
+            lasso_fit(np.eye(3), np.ones((3, 2, 2)), 0.1)
+
+    def test_kkt_violation_matches_coordinate_loop(self):
+        x, y = column_problem(11, 40, 7, 5)
+        for col in range(5):
+            result = lasso_fit(x, y[:, col], 0.05)
+            off = dataclasses.replace(result, beta_std=result.beta_std + 0.01 * (col + 1))
+            for fit in (result, off):
+                assert kkt_violation(x, y[:, col], fit) == ref.kkt_violation(x, y[:, col], fit)
+            assert kkt_violation(x, y[:, col], off) > 1e-3
+
+
 class TestBackproject:
     def test_zero_features_zero_betas(self):
         mask = RegionMask.blocks(3, 2)
@@ -112,6 +200,43 @@ class TestBackproject:
         features = voxels[:, [1]]  # a low-level voxel
         result = backproject(features, voxels, mask, 0.001)
         assert result.region_means["low_level"] >= 10 * result.region_means["high_level"]
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.01, 0.2])
+    def test_per_voxel_means_match_per_column_fits(self, lam):
+        mask = RegionMask.blocks(6, 5)
+        voxels, _ = column_problem(12, 48, 11, 1)
+        features = np.tanh(voxels @ Rng(12, "bp-w").normal(11, 9)) + Rng(12, "bp-e").normal(48, 9)
+        result = backproject(features, voxels, mask, lam)
+        per_voxel, n_unconverged = ref.per_voxel_mean_abs_beta(features, voxels, lam)
+        assert result.per_voxel_mean_abs_beta.tobytes() == per_voxel.tobytes()
+        assert result.n_unconverged == n_unconverged
+        assert result.region_means["low_level"] == float(per_voxel[:6].mean())
+
+    @pytest.mark.parametrize("col,values", [
+        (3, {row: 0.7 for row in range(20)}),  # the mean rounds off 0.7
+        (2, {7: 1e-200}),  # not constant, but its squared deviations underflow
+    ])
+    def test_constant_voxel_column_named(self, col, values):
+        mask = RegionMask.blocks(3, 2)
+        voxels = Rng(13, "bp").normal(20, 5)
+        voxels[:, col] = 0.0
+        for row, value in values.items():
+            voxels[row, col] = value
+        with pytest.raises(DegenerateInput, match=f"predictor column {col} is constant"):
+            backproject(Rng(14, "bp").normal(20, 4), voxels, mask, 0.1)
+
+    def test_one_lasso_fit_call_per_feature_set(self, monkeypatch):
+        # Fits go through the module's lasso_fit, where a tracer can count them.
+        calls = []
+
+        def counted(x, y, lam):
+            calls.append(np.shape(y))
+            return lasso_fit(x, y, lam)
+
+        monkeypatch.setattr(lasso, "lasso_fit", counted)
+        mask = RegionMask.blocks(3, 2)
+        backproject(Rng(17, "bp").normal(20, 4), Rng(18, "bp").normal(20, 5), mask, 0.1)
+        assert calls == [(20, 4)]
 
     def test_feature_row_mismatch(self):
         mask = RegionMask.blocks(2, 2)

@@ -1,3 +1,4 @@
+import lasso_reference as ref
 import numpy as np
 import pytest
 import scipy.stats
@@ -114,6 +115,13 @@ class TestSpearman:
         np.testing.assert_allclose(
             fractional_ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0]
         )
+
+    @pytest.mark.parametrize("n,levels", [(1, 1), (2, 1), (9, 2), (500, 3), (5000, 40), (4000, 10**9)])
+    def test_ranks_match_loop_ranker_on_heavy_ties(self, n, levels):
+        x = Rng(n, "ranks").integers(0, levels, n) / 7.0
+        ranks = fractional_ranks(x)
+        assert ranks.tobytes() == ref.fractional_ranks(x).tobytes()
+        assert ranks.tobytes() == scipy.stats.rankdata(x, method="average").tobytes()
 
     def test_matches_scipy_with_ties(self):
         for s in range(20):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,22 @@ def test_nonfinite_gradient_names_tensor():
     grads = {"w": np.zeros((2, 2)), "bad_tensor": np.array([1.0, np.inf])}
     with pytest.raises(NumericalFailure, match="bad_tensor"):
         adam_step(tensors, grads, AdamState.zeros(tensors), t=1)
+
+
+def test_second_moment_overflow_names_tensor():
+    # g is finite but g * g is not: v would turn inf and freeze the entry.
+    tensors = {"w": np.ones(2), "huge": np.ones(2)}
+    grads = {"w": np.zeros(2), "huge": np.array([1.0, 1e160])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="second moment .* tensor 'huge'"):
+            adam_step(tensors, grads, AdamState.zeros(tensors), t=1)
+
+
+def test_nan_gradient_keeps_non_finite_message():
+    tensors = {"w": np.ones(2)}
+    with pytest.raises(NumericalFailure, match="non-finite gradient for tensor 'w'"):
+        adam_step(tensors, {"w": np.array([np.nan, 1.0])}, AdamState.zeros(tensors), t=1)
 
 
 def test_missing_or_misshapen_gradients():
