@@ -348,10 +348,15 @@ def load_dataset(directory) -> Dataset:
             meta[key] = value
 
     voxels = load_matrix(root / "voxels.mat1")
-    labels = tuple(
-        l for l in (root / "mask.txt").read_text(encoding="utf-8").splitlines() if l
-    )
-    mask = RegionMask(labels)
+    mask_path = root / "mask.txt"
+    try:
+        mask = RegionMask(tuple(l for l in mask_path.read_text(encoding="utf-8").splitlines() if l))
+    except OSError as exc:
+        raise FormatError(f"{mask_path}: cannot read ({exc.strerror or exc})", offset=0) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{mask_path}: not UTF-8 text", offset=exc.start) from None
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"{mask_path}: {exc}") from None
     if voxels.shape[1] != mask.n_detail:
         raise ShapeMismatch(
             f"voxels have {voxels.shape[1]} columns, mask lists {mask.n_detail} voxels"

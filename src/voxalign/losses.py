@@ -177,56 +177,79 @@ def _anchor_cosines(anchor: np.ndarray, rest: np.ndarray, label: str, batched: b
     return sims, anchor_norm, rest_norms
 
 
+def _check_overflow(term: str, batched: bool, *arrays: np.ndarray) -> None:
+    """Raise NumericalFailure for the first sample with a non-finite entry in `arrays`.
+
+    Each array has a leading sample axis. The loss inputs are finite, so a
+    non-finite entry is an overflow inside `term`, whose kernel runs with
+    floating-point warnings off.
+    """
+    if np.isfinite(np.concatenate(arrays, axis=None)).all():
+        return
+    n = arrays[0].shape[0]
+    finite = np.isfinite(np.concatenate([x.reshape(n, -1) for x in arrays], axis=1)).all(axis=1)
+    where = f"sample {int(np.flatnonzero(~finite)[0])}: " if batched else ""
+    raise NumericalFailure(f"{where}{term} term overflows on finite inputs")
+
+
 def _sims(a: np.ndarray, b: np.ndarray, anchor: str, batched: bool):
     """Per-sample sims loss over a leading sample axis, and its gradient in `b`."""
     if anchor not in ANCHOR_MODES:
         raise ValueError(f"anchor must be one of {ANCHOR_MODES}, got {anchor!r}")
-    s_target, _, _ = _anchor_cosines(a[:, 0], a[:, 1:], "target", batched)
-    anchor_vec = b[:, 0] if anchor == "own_first_token" else a[:, 0]
-    rest = b[:, 1:]
-    s_pred, anchor_norm, rest_norms = _anchor_cosines(anchor_vec, rest, "pred", batched)
+    with np.errstate(all="ignore"):
+        s_target, *target_norms = _anchor_cosines(a[:, 0], a[:, 1:], "target", batched)
+        anchor_vec = b[:, 0] if anchor == "own_first_token" else a[:, 0]
+        rest = b[:, 1:]
+        s_pred, anchor_norm, rest_norms = _anchor_cosines(anchor_vec, rest, "pred", batched)
 
-    diff = s_pred - s_target
-    value = (diff * diff).mean(axis=1)
-    g = (2.0 / diff.shape[1]) * diff  # d value / d s_pred[k]
+        diff = s_pred - s_target
+        value = (diff * diff).mean(axis=1)
+        g = (2.0 / diff.shape[1]) * diff  # d value / d s_pred[k]
 
-    grad = np.zeros_like(b)
-    # d cos(u, v_k) / d v_k = u / (|u||v_k|) - cos * v_k / |v_k|^2
-    inv = 1.0 / (rest_norms * anchor_norm[:, None])
-    grad[:, 1:] = (
-        g[:, :, None] * inv[:, :, None] * anchor_vec[:, None, :]
-        - (g * s_pred / rest_norms**2)[:, :, None] * rest
-    )
-    if anchor == "own_first_token":
-        # d cos(b_0, b_k) / d b_0 = b_k / (|b_0||b_k|) - cos * b_0 / |b_0|^2
-        # |b_0|^2 is squared as a Python float (libm pow), which differs from
-        # an array's x * x in the last bit on some inputs.
-        anchor_sq = np.array([x**2 for x in anchor_norm.tolist()])
-        grad[:, 0] = (
-            np.matmul((g * inv)[:, None, :], rest)[:, 0]
-            - (_rowdot(g, s_pred) / anchor_sq)[:, None] * anchor_vec
+        grad = np.zeros_like(b)
+        # d cos(u, v_k) / d v_k = u / (|u||v_k|) - cos * v_k / |v_k|^2
+        inv = 1.0 / (rest_norms * anchor_norm[:, None])
+        grad[:, 1:] = (
+            g[:, :, None] * inv[:, :, None] * anchor_vec[:, None, :]
+            - (g * s_pred / rest_norms**2)[:, :, None] * rest
         )
+        if anchor == "own_first_token":
+            # d cos(b_0, b_k) / d b_0 = b_k / (|b_0||b_k|) - cos * b_0 / |b_0|^2
+            # |b_0|^2 is squared as a Python float (libm pow), which differs from
+            # an array's x * x in the last bit on some inputs.
+            anchor_sq = np.array([x**2 for x in anchor_norm.tolist()])
+            grad[:, 0] = (
+                np.matmul((g * inv)[:, None, :], rest)[:, 0]
+                - (_rowdot(g, s_pred) / anchor_sq)[:, None] * anchor_vec
+            )
+    # An overflowing norm gives finite but wrong cosines, so the norms are checked too.
+    _check_overflow("sims", batched, *target_norms, anchor_norm, rest_norms, value, grad)
     return value, grad
 
 
 def _cka(a: np.ndarray, b: np.ndarray, batched: bool):
     """Per-sample CKA loss over a leading sample axis, and its gradient in `b`."""
-    k = a @ a.transpose(0, 2, 1)
-    l = b @ b.transpose(0, 2, 1)
-    k_c = apply_centering(k)
-    l_c = apply_centering(l)
-    p = (k_c * l).sum(axis=(1, 2))
-    q = (k_c * k).sum(axis=(1, 2))
-    r = (l_c * l).sum(axis=(1, 2))
-    for values, what in ((q, "target"), (r, "prediction")):
-        bad = np.flatnonzero(values <= 0.0)
-        if bad.size:
-            where = f"sample {int(bad[0])}: " if batched else ""
-            raise DegenerateInput(f"{where}{what} is a constant representation")
-    denom = np.sqrt(q * r)
-    value = 1.0 - p / denom
-    grad_l = k_c / denom[:, None, None] - (p / (r * denom))[:, None, None] * l_c
-    return value, -2.0 * (grad_l @ b)
+    with np.errstate(all="ignore"):
+        k = a @ a.transpose(0, 2, 1)
+        l = b @ b.transpose(0, 2, 1)
+        _check_overflow("CKA", batched, k, l)
+        k_c = apply_centering(k)
+        l_c = apply_centering(l)
+        p = (k_c * l).sum(axis=(1, 2))
+        q = (k_c * k).sum(axis=(1, 2))
+        r = (l_c * l).sum(axis=(1, 2))
+        for values, what in ((q, "target"), (r, "prediction")):
+            bad = np.flatnonzero(values <= 0.0)
+            if bad.size:
+                where = f"sample {int(bad[0])}: " if batched else ""
+                raise DegenerateInput(f"{where}{what} is a constant representation")
+        denom = np.sqrt(q * r)
+        value = 1.0 - p / denom
+        grad_l = k_c / denom[:, None, None] - (p / (r * denom))[:, None, None] * l_c
+        grad = -2.0 * (grad_l @ b)
+    # An overflowing denominator gives a finite but wrong value, so it is checked too.
+    _check_overflow("CKA", batched, denom, value, grad)
+    return value, grad
 
 
 def _mg(a, b, anchor, weight_cka, weight_sims, batched) -> MgLoss:
@@ -498,20 +521,26 @@ def grad_check(f, point, h: float = 1e-5) -> float:
         raise ShapeMismatch(
             f"analytic gradient shape {analytic.shape} does not match point {x.shape}"
         )
+    return _central_differences(lambda p: f(p).value, x, analytic, h)
+
+
+def _central_differences(value_at, point: np.ndarray, analytic: np.ndarray, h: float) -> float:
+    """The loop behind :func:`grad_check`: worst relative error of `analytic` at `point`.
+
+    Each coordinate is scored at two fresh copies of `point`, moved by +h
+    and by -h, through ``value_at(copy) -> float``.
+    """
     worst = 0.0
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        plus = x.copy()
+    for idx in np.ndindex(point.shape):
+        plus = point.copy()
         plus[idx] += h
-        minus = x.copy()
+        minus = point.copy()
         minus[idx] -= h
-        f_plus = f(plus).value
-        f_minus = f(minus).value
+        f_plus = float(value_at(plus))
+        f_minus = float(value_at(minus))
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericalFailure(f"non-finite evaluation at index {idx}")
         numeric = (f_plus - f_minus) / (2.0 * h)
-        denom = max(abs(float(analytic[idx])), abs(numeric), 1e-8)
-        worst = max(worst, abs(float(analytic[idx]) - numeric) / denom)
-        it.iternext()
+        a = float(analytic[idx])
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
     return worst

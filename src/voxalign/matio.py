@@ -16,7 +16,8 @@ bytes  content
 
 ``load_matrix(save_matrix(M))`` reproduces ``M`` bit for bit, including
 the sign of zero. Loads reject NaN/Inf payloads, so every matrix read
-from disk satisfies the finiteness invariant.
+from disk satisfies the finiteness invariant, and every load error names
+the file.
 """
 
 from __future__ import annotations
@@ -46,36 +47,41 @@ def save_matrix(matrix, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a MAT1 file; malformed input raises FormatError with a byte offset."""
-    raw = Path(path).read_bytes()
+    """Read a MAT1 file; unreadable or malformed input raises FormatError naming it.
+
+    The error carries the byte offset at which parsing failed (0 when the
+    file cannot be read at all).
+    """
+
+    def fail(message: str, offset: int) -> FormatError:
+        return FormatError(f"{path}: {message}", offset=offset)
+
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise fail(f"cannot read ({exc.strerror or exc})", 0) from None
     if len(raw) < HEADER_SIZE:
-        raise FormatError("file shorter than the 24-byte header", offset=len(raw))
+        raise fail("file shorter than the 24-byte header", len(raw))
     magic, version, dtype, padding, rows, cols = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        raise fail(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
     if version != 1:
-        raise FormatError(f"unsupported version {version}", offset=4)
+        raise fail(f"unsupported version {version}", 4)
     if dtype != 1:
-        raise FormatError(f"unsupported dtype code {dtype} (only 1 = float64)", offset=5)
+        raise fail(f"unsupported dtype code {dtype} (only 1 = float64)", 5)
     if padding != 0:
-        raise FormatError("padding bytes 6-7 must be zero", offset=6)
+        raise fail("padding bytes 6-7 must be zero", 6)
     if rows < 1:
-        raise FormatError(f"rows must be >= 1, got {rows}", offset=8)
+        raise fail(f"rows must be >= 1, got {rows}", 8)
     if cols < 1:
-        raise FormatError(f"cols must be >= 1, got {cols}", offset=16)
+        raise fail(f"cols must be >= 1, got {cols}", 16)
     expected = HEADER_SIZE + 8 * rows * cols
     if len(raw) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, file has {len(raw)}",
-            offset=len(raw),
-        )
+        raise fail(f"truncated payload: expected {expected} bytes, file has {len(raw)}", len(raw))
     if len(raw) > expected:
-        raise FormatError(f"{len(raw) - expected} trailing bytes", offset=expected)
+        raise fail(f"{len(raw) - expected} trailing bytes", expected)
     flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=HEADER_SIZE)
     bad = np.where(~np.isfinite(flat))[0]
     if bad.size:
-        raise FormatError(
-            f"non-finite value at element {bad[0]}",
-            offset=HEADER_SIZE + 8 * int(bad[0]),
-        )
+        raise fail(f"non-finite value at element {bad[0]}", HEADER_SIZE + 8 * int(bad[0]))
     return flat.astype(np.float64).reshape(rows, cols)

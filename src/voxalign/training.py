@@ -14,6 +14,7 @@ component sums always reproduce the totals.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -172,21 +173,31 @@ def _require_finite(outputs: dict, where: str):
             raise NumericalFailure(f"{where}: {name} has non-finite entries")
 
 
+@contextlib.contextmanager
+def _labelled(where: str):
+    """Prefix a NumericalFailure raised inside with ``where`` (epoch, loop and batch)."""
+    try:
+        yield
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{where}: {exc}") from exc
+
+
 def _text_batch_loss(text_targets, fwd, voxels_sem, cfg: TrainConfig, want_grads: bool, where: str):
     """Mean text loss of a batch, scored by one batched loss call.
 
     ``where`` (epoch, loop and batch) labels a numerical failure.
     """
     _require_finite({"pred_emb": fwd.pred_emb, "recon_sem": fwd.recon_sem}, where)
-    tl = text_total_loss(
-        text_targets,
-        fwd.pred_emb,
-        voxels_sem,
-        fwd.recon_sem,
-        anchor=cfg.anchor_mode,
-        weight_cka=cfg.weight_cka,
-        weight_sims=cfg.weight_sims,
-    )
+    with _labelled(where):
+        tl = text_total_loss(
+            text_targets,
+            fwd.pred_emb,
+            voxels_sem,
+            fwd.recon_sem,
+            anchor=cfg.anchor_mode,
+            weight_cka=cfg.weight_cka,
+            weight_sims=cfg.weight_sims,
+        )
     n = fwd.pred_emb.shape[0]
     values = {
         "text_total": tl.value,
@@ -214,18 +225,19 @@ def _image_batch_loss(targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, wa
     fused_t, sem_t, det_t = targets
     outputs = {name: getattr(fwd, name) for name in _IMAGE_OUTPUTS}
     _require_finite(outputs, where)
-    il = image_total_loss(
-        fused_t,
-        sem_emb_target=sem_t,
-        det_emb_target=det_t,
-        voxels_sem=voxels_sem,
-        voxels_det=voxels_det,
-        **outputs,
-        anchor=cfg.anchor_mode,
-        weight_cka=cfg.weight_cka,
-        weight_sims=cfg.weight_sims,
-        weight_crec=cfg.weight_crec,
-    )
+    with _labelled(where):
+        il = image_total_loss(
+            fused_t,
+            sem_emb_target=sem_t,
+            det_emb_target=det_t,
+            voxels_sem=voxels_sem,
+            voxels_det=voxels_det,
+            **outputs,
+            anchor=cfg.anchor_mode,
+            weight_cka=cfg.weight_cka,
+            weight_sims=cfg.weight_sims,
+            weight_crec=cfg.weight_crec,
+        )
     n = fwd.pred_fused_emb.shape[0]
     values = {
         "image_total": il.value,
@@ -314,13 +326,11 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
             m={name: state.m[name] for name in grads},
             v={name: state.v[name] for name in grads},
         )
-        try:
+        with _labelled(where):
             new_tensors, new_state = adam_step(
                 subset, grads, sub_state, step_counts[counter],
                 cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
             )
-        except NumericalFailure as exc:
-            raise NumericalFailure(f"{where}: {exc}") from exc
         params.tensors = {**params.tensors, **new_tensors}
         state.m.update(new_state.m)
         state.v.update(new_state.v)

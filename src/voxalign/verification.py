@@ -4,6 +4,10 @@ Every analytic gradient in the library is compared against central finite
 differences (step 1e-5) across many seeded random instances. Pure-MSE
 paths are held to 1e-6 relative error; paths through cosine
 normalizations to 1e-5; paths through the CKA quotient to 1e-4.
+
+Both suites run the one central-difference loop behind
+:func:`~voxalign.losses.grad_check`: the loss suite through ``grad_check``
+itself, the model suite once per parameter tensor.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 
 from .losses import (
     LossValueGrad,
+    _central_differences,
     cka_loss,
     crec_loss,
     grad_check,
@@ -25,7 +30,6 @@ from .losses import (
 )
 from .model import (
     ModelConfig,
-    ModelParams,
     collect_masks,
     image_branch_backward,
     image_branch_forward,
@@ -49,151 +53,88 @@ class CheckResult:
         return self.max_error < self.threshold
 
 
-def _crec_arg_check(rng: Rng) -> float:
+# Standalone MSE paths are exact quadratics and held to 1e-6; paths
+# through composite totals inherit the 1e-4 budget of their CKA part.
+_LOSS_THRESHOLDS = {
+    "mse": 1e-6,
+    "sims/own_first_token": 1e-5,
+    "sims/target_first_token": 1e-5,
+    "cka": 1e-4,
+    "mg": 1e-4,
+    "crec": 1e-6,
+    "text_total/pred_emb": 1e-4,
+    "text_total/recon": 1e-4,
+    "image_total/pred_sem": 1e-4,
+    "image_total/pred_det": 1e-4,
+    "image_total/recons": 1e-4,
+}
+_RECONS = ("recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross")
+
+
+def _arg_check(loss, args: dict, name: str, field: str) -> float:
+    """grad_check of ``loss(**args)`` in argument `name`, against the result's `field`."""
+
+    def f(x):
+        result = loss(**{**args, name: x})
+        return LossValueGrad(result.value, getattr(result, field))
+
+    return grad_check(f, args[name], FD_STEP)
+
+
+def _crec_args(rng: Rng) -> dict:
+    """Voxel signals and the four reconstructions, keyed like the loss arguments."""
     n_s, n_d = 3, 5
-    f_s = rng.child("f_s").normal(n_s)
-    f_d = rng.child("f_d").normal(n_d)
-    recons = [
-        rng.child("r0").normal(n_s),
-        rng.child("r1").normal(n_d),
-        rng.child("r2").normal(n_d),
-        rng.child("r3").normal(n_s),
-    ]
-    grad_fields = (
-        "grad_recon_sem_direct",
-        "grad_recon_det_cross",
-        "grad_recon_det_direct",
-        "grad_recon_sem_cross",
+    return dict(
+        voxels_sem=rng.child("f_s").normal(n_s),
+        voxels_det=rng.child("f_d").normal(n_d),
+        recon_sem_direct=rng.child("r0").normal(n_s),
+        recon_det_cross=rng.child("r1").normal(n_d),
+        recon_det_direct=rng.child("r2").normal(n_d),
+        recon_sem_cross=rng.child("r3").normal(n_s),
     )
-    worst = 0.0
-    for position, grad_field in enumerate(grad_fields):
-        def f(x, position=position, grad_field=grad_field):
-            args = list(recons)
-            args[position] = x
-            result = crec_loss(f_s, f_d, *args)
-            return LossValueGrad(result.value, getattr(result, grad_field))
-
-        worst = max(worst, grad_check(f, recons[position], FD_STEP))
-    return worst
-
-
-def _image_total_checks(rng: Rng) -> dict:
-    m, d = 4, 3
-    n_s, n_d = 3, 5
-    fused = rng.child("fused").normal(m, d)
-    sem_t = rng.child("sem_t").normal(m, d)
-    det_t = rng.child("det_t").normal(m, d)
-    pred_sem = rng.child("pred_sem").normal(m, d)
-    pred_det = rng.child("pred_det").normal(m, d)
-    f_s = rng.child("f_s").normal(n_s)
-    f_d = rng.child("f_d").normal(n_d)
-    recons = {
-        "recon_sem_direct": rng.child("r0").normal(n_s),
-        "recon_det_cross": rng.child("r1").normal(n_d),
-        "recon_det_direct": rng.child("r2").normal(n_d),
-        "recon_sem_cross": rng.child("r3").normal(n_s),
-    }
-
-    def call(ps, pd, rec):
-        return image_total_loss(
-            fused, ps, pd, sem_t, det_t, f_s, f_d,
-            rec["recon_sem_direct"], rec["recon_det_cross"],
-            rec["recon_det_direct"], rec["recon_sem_cross"],
-        )
-
-    out = {}
-    out["image_total/pred_sem"] = grad_check(
-        lambda x: LossValueGrad(call(x, pred_det, recons).value,
-                                call(x, pred_det, recons).grad_pred_sem_emb),
-        pred_sem, FD_STEP,
-    )
-    out["image_total/pred_det"] = grad_check(
-        lambda x: LossValueGrad(call(pred_sem, x, recons).value,
-                                call(pred_sem, x, recons).grad_pred_det_emb),
-        pred_det, FD_STEP,
-    )
-    worst_recon = 0.0
-    for key in recons:
-        def f(x, key=key):
-            rec = dict(recons)
-            rec[key] = x
-            result = call(pred_sem, pred_det, rec)
-            return LossValueGrad(result.value, getattr(result, f"grad_{key}"))
-
-        worst_recon = max(worst_recon, grad_check(f, recons[key], FD_STEP))
-    out["image_total/recons"] = worst_recon
-    return out
 
 
 def loss_gradient_suite(n_seeds: int = 20) -> list:
     """Finite-difference checks for every loss, maximized over seeds."""
-    worst = {}
-
-    def record(name, err):
-        worst[name] = max(worst.get(name, 0.0), err)
-
+    worst = dict.fromkeys(_LOSS_THRESHOLDS, 0.0)
     for s in range(n_seeds):
         rng = Rng(1000 + s, "gradcheck")
         m = 3 + s % 5  # token counts 3..7
         d = 2 + s % 6  # widths 2..7
         target = rng.child("target").normal(m, d)
-        pred = rng.child("pred").normal(m, d)
-        pred_wide = rng.child("pred_wide").normal(m, d + 1)
-
-        record("mse", grad_check(lambda p: mse_loss(target, p), pred, FD_STEP))
-        record(
-            "sims/own_first_token",
-            grad_check(lambda p: sims_loss(target, p, "own_first_token"), pred, FD_STEP),
+        pair = dict(target=target, pred=rng.child("pred").normal(m, d))
+        crec = _crec_args(rng.child("crec"))
+        text = dict(
+            text_target=target,
+            text_pred=pair["pred"],
+            voxels_sem=rng.child("f_s").normal(4),
+            recon_sem=rng.child("recon").normal(4),
         )
-        record(
-            "sims/target_first_token",
-            grad_check(lambda p: sims_loss(target, p, "target_first_token"), pred, FD_STEP),
+        image_rng = rng.child("image")
+        image = dict(
+            fused_target=image_rng.child("fused").normal(4, 3),
+            pred_sem_emb=image_rng.child("pred_sem").normal(4, 3),
+            pred_det_emb=image_rng.child("pred_det").normal(4, 3),
+            sem_emb_target=image_rng.child("sem_t").normal(4, 3),
+            det_emb_target=image_rng.child("det_t").normal(4, 3),
+            **_crec_args(image_rng),
         )
-        record("cka", grad_check(lambda p: cka_loss(target, p), pred_wide, FD_STEP))
-        record("mg", grad_check(lambda p: mg_loss(target, p), pred, FD_STEP))
-        record("crec", _crec_arg_check(rng.child("crec")))
-
-        f_s = rng.child("f_s").normal(4)
-        recon = rng.child("recon").normal(4)
-        record(
-            "text_total/pred_emb",
-            grad_check(
-                lambda p: LossValueGrad(
-                    text_total_loss(target, p, f_s, recon).value,
-                    text_total_loss(target, p, f_s, recon).grad_pred_emb,
-                ),
-                pred, FD_STEP,
-            ),
-        )
-        record(
-            "text_total/recon",
-            grad_check(
-                lambda r: LossValueGrad(
-                    text_total_loss(target, pred, f_s, r).value,
-                    text_total_loss(target, pred, f_s, r).grad_recon_sem,
-                ),
-                recon, FD_STEP,
-            ),
-        )
-        for name, err in _image_total_checks(rng.child("image")).items():
-            record(name, err)
-
-    # Standalone MSE paths are exact quadratics and held to 1e-6; paths
-    # through composite totals inherit the 1e-4 budget of their CKA part.
-    thresholds = {
-        "mse": 1e-6,
-        "sims/own_first_token": 1e-5,
-        "sims/target_first_token": 1e-5,
-        "cka": 1e-4,
-        "mg": 1e-4,
-        "crec": 1e-6,
-        "text_total/pred_emb": 1e-4,
-        "text_total/recon": 1e-4,
-        "image_total/pred_sem": 1e-4,
-        "image_total/pred_det": 1e-4,
-        "image_total/recons": 1e-4,
-    }
-    return [CheckResult(name, worst[name], thresholds[name]) for name in thresholds]
+        checks = [
+            ("mse", mse_loss, pair, "pred", "grad"),
+            ("sims/own_first_token", sims_loss, {**pair, "anchor": "own_first_token"}, "pred", "grad"),
+            ("sims/target_first_token", sims_loss, {**pair, "anchor": "target_first_token"}, "pred", "grad"),
+            ("cka", cka_loss, dict(target=target, pred=rng.child("pred_wide").normal(m, d + 1)), "pred", "grad"),
+            ("mg", mg_loss, pair, "pred", "grad"),
+            *[("crec", crec_loss, crec, r, f"grad_{r}") for r in _RECONS],
+            ("text_total/pred_emb", text_total_loss, text, "text_pred", "grad_pred_emb"),
+            ("text_total/recon", text_total_loss, text, "recon_sem", "grad_recon_sem"),
+            ("image_total/pred_sem", image_total_loss, image, "pred_sem_emb", "grad_pred_sem_emb"),
+            ("image_total/pred_det", image_total_loss, image, "pred_det_emb", "grad_pred_det_emb"),
+            *[("image_total/recons", image_total_loss, image, r, f"grad_{r}") for r in _RECONS],
+        ]
+        for check, loss, args, name, field in checks:
+            worst[check] = max(worst[check], _arg_check(loss, args, name, field))
+    return [CheckResult(name, worst[name], threshold) for name, threshold in _LOSS_THRESHOLDS.items()]
 
 
 def _tiny_config() -> ModelConfig:
@@ -210,24 +151,25 @@ def _tiny_config() -> ModelConfig:
     )
 
 
-def _max_param_error(tensors, grads, loss_fn, h=FD_STEP):
+def _max_param_error(params, grads: dict, loss_at, h: float = FD_STEP) -> float:
+    """Worst relative error of `grads` over every entry of the tensors it names.
+
+    Each perturbed copy of a tensor is swapped into ``params.tensors`` while
+    ``loss_at()`` scores the model; the original goes back afterwards, also
+    when scoring raises.
+    """
     worst = 0.0
-    for name in sorted(tensors):
-        tensor = tensors[name]
-        analytic = grads[name]
-        it = np.nditer(tensor, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            perturbed = {k: (v.copy() if k == name else v) for k, v in tensors.items()}
-            perturbed[name][idx] += h
-            f_plus = loss_fn(perturbed)
-            perturbed[name][idx] -= 2 * h
-            f_minus = loss_fn(perturbed)
-            numeric = (f_plus - f_minus) / (2 * h)
-            a = float(analytic[idx])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
-            it.iternext()
+    for name in sorted(grads):
+        original = params.tensors[name]
+
+        def value_at(point):
+            params.tensors[name] = point
+            return loss_at()
+
+        try:
+            worst = max(worst, _central_differences(value_at, original, grads[name], h))
+        finally:
+            params.tensors[name] = original
     return worst
 
 
@@ -263,6 +205,27 @@ def _fd_safe(caches, *outputs) -> bool:
     return True
 
 
+# The predictions of each branch that _fd_safe screens.
+_PREDICTIONS = {"text": ("pred_emb",), "image": ("pred_sem_emb", "pred_det_emb")}
+
+
+def _forward(branch: str, params, voxels: tuple, **replay):
+    """Run one branch on the (semantic, detail) voxels; `replay` passes ``rng`` or ``masks``."""
+    if branch == "text":
+        return text_branch_forward(voxels[0], params, **replay)
+    return image_branch_forward(*voxels, params, **replay)
+
+
+def _branch_loss(branch: str, fwd, voxels: tuple, targets: dict):
+    """One batched loss call scoring a branch's forward on its batch of one."""
+    if branch == "text":
+        return text_total_loss(targets["text"], fwd.pred_emb, voxels[0], fwd.recon_sem)
+    return image_total_loss(
+        targets["fused"], fwd.pred_sem_emb, fwd.pred_det_emb, targets["sem"], targets["det"],
+        *voxels, *(getattr(fwd, r) for r in _RECONS),
+    )
+
+
 def model_gradient_suite(n_seeds: int = 20) -> list:
     """Per-parameter finite-difference check of the full backward pass.
 
@@ -273,104 +236,44 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
     redrawn deterministically.
     """
     cfg = _tiny_config()
-    worst_text = 0.0
-    worst_image = 0.0
+    worst = dict.fromkeys(_PREDICTIONS, 0.0)
     for s in range(n_seeds):
         base = Rng(2000 + s, "model-gradcheck")
         for attempt in range(300):
             rng = base.child(f"attempt-{attempt}")
             params = init_params(cfg, rng.child("init"))
-            vox_sem = rng.child("vox_sem").normal(1, cfg.n_semantic_voxels)
-            vox_det = rng.child("vox_det").normal(1, cfg.n_detail_voxels)
-            tf = text_branch_forward(vox_sem, params, rng=rng.child("text-masks"))
-            ifwd = image_branch_forward(vox_sem, vox_det, params, rng=rng.child("image-masks"))
-            if _fd_safe(tf.caches, tf.pred_emb) and _fd_safe(ifwd.caches, ifwd.pred_sem_emb, ifwd.pred_det_emb):
+            voxels = (
+                rng.child("vox_sem").normal(1, cfg.n_semantic_voxels),
+                rng.child("vox_det").normal(1, cfg.n_detail_voxels),
+            )
+            fwds = {b: _forward(b, params, voxels, rng=rng.child(f"{b}-masks")) for b in _PREDICTIONS}
+            if all(
+                _fd_safe(fwds[b].caches, *(getattr(fwds[b], p) for p in preds))
+                for b, preds in _PREDICTIONS.items()
+            ):
                 break
         else:  # pragma: no cover - would indicate a broken generator
             raise RuntimeError("no finite-difference-safe draw found")
-        text_target = rng.child("text_target").normal(cfg.text_tokens, cfg.text_dim)
         sem_target = rng.child("sem_target").normal(cfg.image_tokens, cfg.image_dim)
         det_target = rng.child("det_target").normal(cfg.image_tokens, cfg.image_dim)
-        fused_target = 0.5 * (sem_target + det_target)
-
-        text_masks = collect_masks(tf.caches)
-
-        def text_loss_value(tensors):
-            p = ModelParams(cfg, "full", dict(tensors))
-            fwd = text_branch_forward(vox_sem, p, masks=text_masks)
-            return text_total_loss(
-                text_target, fwd.pred_emb[0], vox_sem[0], fwd.recon_sem[0]
-            ).value
-
-        tl = text_total_loss(text_target, tf.pred_emb[0], vox_sem[0], tf.recon_sem[0])
-        text_grads = text_branch_backward(
-            params, tf, tl.grad_pred_emb[None], tl.grad_recon_sem[None]
-        )
-        text_tensors = {k: v for k, v in params.tensors.items() if k.startswith("text.")}
-        worst_text = max(
-            worst_text,
-            _max_param_error(
-                text_tensors,
-                text_grads,
-                lambda t: text_loss_value({**params.tensors, **t}),
-            ),
-        )
-
-        image_masks = collect_masks(ifwd.caches)
-
-        def image_loss_value(tensors):
-            p = ModelParams(cfg, "full", dict(tensors))
-            fwd = image_branch_forward(vox_sem, vox_det, p, masks=image_masks)
-            return image_total_loss(
-                fused_target,
-                fwd.pred_sem_emb[0],
-                fwd.pred_det_emb[0],
-                sem_target,
-                det_target,
-                vox_sem[0],
-                vox_det[0],
-                fwd.recon_sem_direct[0],
-                fwd.recon_det_cross[0],
-                fwd.recon_det_direct[0],
-                fwd.recon_sem_cross[0],
-            ).value
-
-        il = image_total_loss(
-            fused_target,
-            ifwd.pred_sem_emb[0],
-            ifwd.pred_det_emb[0],
-            sem_target,
-            det_target,
-            vox_sem[0],
-            vox_det[0],
-            ifwd.recon_sem_direct[0],
-            ifwd.recon_det_cross[0],
-            ifwd.recon_det_direct[0],
-            ifwd.recon_sem_cross[0],
-        )
-        image_grads = image_branch_backward(
-            params,
-            ifwd,
-            grad_pred_sem_emb=il.grad_pred_sem_emb[None],
-            grad_pred_det_emb=il.grad_pred_det_emb[None],
-            grad_recon_sem_direct=il.grad_recon_sem_direct[None],
-            grad_recon_det_cross=il.grad_recon_det_cross[None],
-            grad_recon_det_direct=il.grad_recon_det_direct[None],
-            grad_recon_sem_cross=il.grad_recon_sem_cross[None],
-        )
-        image_tensors = {k: v for k, v in params.tensors.items() if k.startswith("image.")}
-        worst_image = max(
-            worst_image,
-            _max_param_error(
-                image_tensors,
-                image_grads,
-                lambda t: image_loss_value({**params.tensors, **t}),
-            ),
-        )
-    return [
-        CheckResult("model/text_branch", worst_text, 1e-4),
-        CheckResult("model/image_branch", worst_image, 1e-4),
-    ]
+        targets = {
+            "text": rng.child("text_target").normal(cfg.text_tokens, cfg.text_dim)[None],
+            "fused": (0.5 * (sem_target + det_target))[None],
+            "sem": sem_target[None],
+            "det": det_target[None],
+        }
+        for branch, fwd in fwds.items():
+            masks = collect_masks(fwd.caches)
+            loss = _branch_loss(branch, fwd, voxels, targets)
+            backward = text_branch_backward if branch == "text" else image_branch_backward
+            grads = backward(params, fwd, **{k: v for k, v in vars(loss).items() if k.startswith("grad_")})
+            error = _max_param_error(
+                params,
+                grads,
+                lambda: _branch_loss(branch, _forward(branch, params, voxels, masks=masks), voxels, targets).value[0],
+            )
+            worst[branch] = max(worst[branch], error)
+    return [CheckResult(f"model/{branch}_branch", error, 1e-4) for branch, error in worst.items()]
 
 
 def run_all(n_seeds: int = 20) -> list:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,9 @@ class TestTrain:
         ("learning_rate=1e200\n", r"epoch \d+, batch \d+: pred_emb has non-finite entries"),
         ("learning_rate=1e200\nseparate_branches=true\n",
          r"epoch \d+, text loop batch \d+: pred_emb has non-finite entries"),
-        # the gradients overflow before any forward output does
-        ("learning_rate=1e30\n", r"epoch \d+, batch \d+: non-finite gradient for tensor '[\w.]+'"),
+        # the CKA term overflows on finite predictions before any forward output does
+        ("learning_rate=1e30\n",
+         r"epoch \d+, batch \d+: sample \d+: CKA term overflows on finite inputs"),
         # finite gradients whose squares overflow Adam's second moment
         ("weight_crec=1e306\n",
          r"epoch \d+, batch \d+: second moment of the gradient overflows for tensor '[\w.]+'"),
@@ -151,6 +153,43 @@ class TestTrain:
                          "--out", str(tmp_path / "run"), "--quiet"])
         assert code == 3
         assert re.search("numerical failure: " + message, capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_loss_overflow_prints_no_warning(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "blow_up.cfg"
+        cfg.write_text(SMALL_TRAIN + "learning_rate=1e30\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                         "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert "CKA term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,named", [
+        ("truncate", "layers/layer_2.mat1"),
+        ("truncate", "captions/3/0.mat1"),
+        ("delete", "voxels.mat1"),
+        ("delete", "mask.txt"),
+        ("bad_label", "mask.txt"),
+        ("not_utf8", "mask.txt"),
+    ])
+    def test_bad_dataset_file_named_exit_2(self, workspace, tmp_path, capsys, damage, named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / named
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:100])
+        elif damage == "delete":
+            path.unlink()
+        elif damage == "bad_label":
+            path.write_text(path.read_text() + "cortex\n")
+        else:
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        code = main(["train", "--config", str(workspace / "train.cfg"), "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        assert f"error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -200,6 +239,15 @@ class TestEval:
                      "--out", str(tmp_path / "ev"), "--quiet"])
         assert code == 2
         assert line in capsys.readouterr().err
+
+    def test_missing_tensor_file_named_exit_2(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        (ckpt / "text.encoder.W.mat1").unlink()
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "ev"), "--quiet"])
+        assert code == 2
+        assert f"error: {ckpt / 'text.encoder.W.mat1'}: cannot read" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, workspace):
         code = main(["eval", "--ckpt", str(workspace / "nonexistent"),

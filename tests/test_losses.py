@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import loss_reference as ref
 from voxalign import losses
-from voxalign.errors import DegenerateInput, ShapeMismatch
+from voxalign.errors import DegenerateInput, NumericalFailure, ShapeMismatch
 from voxalign.linalg import cosine
 from voxalign.losses import (
     LossValueGrad,
@@ -563,3 +565,43 @@ class TestBatchedErrors:
             text_total_loss(a, b, np.ones((3, 4)), np.zeros((3, 4)))
         with pytest.raises(DegenerateInput, match="non-finite"):
             mse_loss(a[1], b[1])
+
+
+class TestOverflowOnFiniteInputs:
+    """A term that overflows on finite inputs raises NumericalFailure, without warnings."""
+
+    def test_cka_names_sample_and_term(self):
+        a, b = _batch(14, 5, 4, 3)
+        b[3] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^sample 3: CKA term overflows on finite inputs$"):
+                text_total_loss(a, b, np.ones((5, 4)), np.zeros((5, 4)))
+
+    def test_sims_names_term(self):
+        a, b = _batch(15, 1, 4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^sims term overflows on finite inputs$"):
+                sims_loss(a[0], 1e200 * b[0])
+            with pytest.raises(NumericalFailure, match="^CKA term overflows on finite inputs$"):
+                cka_loss(a[0], 1e200 * b[0])
+
+    @pytest.mark.parametrize("scale", [1e80, 1e150])
+    def test_cka_denominator_overflow(self, scale):
+        # Unchecked, the overflowing denominator gives CKA loss 1.0 for any prediction.
+        a, b = _batch(17, 1, 4, 3)
+        with pytest.raises(NumericalFailure, match="^CKA term overflows"):
+            cka_loss(a[0], scale * b[0])
+
+    @pytest.mark.parametrize("anchor", ANCHORS)
+    def test_sims_norm_overflow(self, anchor):
+        # Unchecked, the overflowing token norm gives that token a cosine of 0.
+        a, b = _batch(18, 1, 4, 3)
+        b[0, 2] *= 1e160
+        with pytest.raises(NumericalFailure, match="^sims term overflows"):
+            sims_loss(a[0], b[0], anchor)
+
+    def test_large_finite_terms_pass(self):
+        a, b = _batch(16, 3, 4, 3)
+        np.testing.assert_allclose(cka_loss(a[0], 1e50 * b[0]).value, cka_loss(a[0], b[0]).value)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -102,3 +103,15 @@ def test_zero_rows_rejected(tmp_path):
 def test_save_rejects_non_matrix(tmp_path):
     with pytest.raises(ShapeMismatch):
         save_matrix(np.ones(3), tmp_path / "v.mat1")
+
+
+def test_errors_name_the_file(tmp_path):
+    path = tmp_path / "m.mat1"
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read") as exc:
+        load_matrix(path)
+    assert exc.value.offset == 0
+    save_matrix(np.ones((2, 3)), path)
+    path.write_bytes(path.read_bytes()[:30])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated payload") as exc:
+        load_matrix(path)
+    assert exc.value.offset == 30
