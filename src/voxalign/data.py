@@ -329,6 +329,44 @@ def _project_layer(flat: np.ndarray, projection: np.ndarray, tokens: int) -> np.
     return projected.reshape(n, tokens * projection.shape[1])
 
 
+# The meta.txt keys the library reads, all integers.
+_META_INTEGERS = ("n_train", "n_test", "text_tokens", "text_dim", "image_tokens", "image_dim")
+
+
+def _read_meta(path: Path) -> dict:
+    """The ``key=value`` lines of a meta.txt, which must give every key the library reads."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror or exc})", offset=0) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+    meta = {}
+    for line in text.splitlines():
+        if line.strip():
+            key, _, value = line.partition("=")
+            meta[key] = value
+    for key in _META_INTEGERS:
+        if key not in meta:
+            raise FormatError(f"{path}: missing key {key!r}", offset=0)
+        try:
+            int(meta[key])
+        except ValueError:
+            raise FormatError(f"{path}: {key}={meta[key]!r} is not an integer", offset=0) from None
+    return meta
+
+
+def _numbered_files(directory: Path, prefix: str) -> list:
+    """The ``<prefix><number>.mat1`` files in `directory` as (number, path), in number order."""
+    found = []
+    for path in directory.glob(f"{prefix}*.mat1"):
+        try:
+            found.append((int(path.stem[len(prefix):]), path))
+        except ValueError:
+            raise FormatError(f"{path}: expected a file named {prefix}<number>.mat1", offset=0) from None
+    return sorted(found, key=lambda item: item[0])
+
+
 def load_dataset(directory) -> Dataset:
     """Load a dataset directory written by :func:`save_dataset`.
 
@@ -341,11 +379,7 @@ def load_dataset(directory) -> Dataset:
     meta_path = root / "meta.txt"
     if not meta_path.exists():
         raise FormatError(f"missing meta.txt in {root}", offset=0)
-    meta = {}
-    for line in meta_path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            meta[key] = value
+    meta = _read_meta(meta_path)
 
     voxels = load_matrix(root / "voxels.mat1")
     mask_path = root / "mask.txt"
@@ -373,14 +407,13 @@ def load_dataset(directory) -> Dataset:
             )
 
     layer_dir = root / "layers"
-    layer_ids = sorted(
-        int(p.stem.split("_", 1)[1]) for p in layer_dir.glob("layer_*.mat1")
-    )
-    if not layer_ids:
+    layer_files = _numbered_files(layer_dir, "layer_")
+    if not layer_files:
         raise FormatError(f"no layer files in {layer_dir}", offset=0)
+    layer_ids = [i for i, _ in layer_files]
     features = []
-    for i in layer_ids:
-        flat = load_matrix(layer_dir / f"layer_{i}.mat1")
+    for _, path in layer_files:
+        flat = load_matrix(path)
         if projection is not None:
             flat = _project_layer(flat, projection, int(meta["image_tokens"]))
         features.append(flat)
@@ -390,8 +423,8 @@ def load_dataset(directory) -> Dataset:
     captions = []
     for i in range(voxels.shape[0]):
         stim_dir = caption_root / str(i)
-        files = sorted(stim_dir.glob("*.mat1"), key=lambda p: int(p.stem))
+        files = _numbered_files(stim_dir, "")
         if not files:
             raise FormatError(f"stimulus {i} has no caption files", offset=0)
-        captions.append([load_matrix(f) for f in files])
+        captions.append([load_matrix(f) for _, f in files])
     return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)

@@ -148,11 +148,18 @@ def _token_pair(target: np.ndarray, pred: np.ndarray, context: str):
     return target, pred
 
 
-def _mse(target: np.ndarray, pred: np.ndarray):
-    """Per-sample MSE over a leading sample axis, and its gradient in `pred`."""
-    diff = pred - target
-    n = diff.shape[0]
-    return (diff * diff).reshape(n, -1).mean(axis=1), (2.0 / (diff.size // n)) * diff
+def _mse(target: np.ndarray, pred: np.ndarray, term: str = "MSE", batched: bool = True):
+    """Per-sample MSE over a leading sample axis, and its gradient in `pred`.
+
+    `term` names the MSE in the error raised when it overflows.
+    """
+    with np.errstate(all="ignore"):
+        diff = pred - target
+        n = diff.shape[0]
+        value = (diff * diff).reshape(n, -1).mean(axis=1)
+        grad = (2.0 / (diff.size // n)) * diff
+    _check_overflow(term, batched, value, grad)
+    return value, grad
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,7 +279,7 @@ _CREC_TERMS = (
 )
 
 
-def _crec(arrays: dict, n: int) -> CrecLoss:
+def _crec(arrays: dict, n: int, batched: bool) -> CrecLoss:
     """Reconstruction terms of `n` samples from :func:`_batch` arrays keyed by argument name."""
     value = np.zeros(n)
     grads = []
@@ -287,7 +294,7 @@ def _crec(arrays: dict, n: int) -> CrecLoss:
         if target is None or target.shape != recon.shape:
             shape = None if target is None else target.shape[1:]
             raise ShapeMismatch(f"{label}: target shape {shape} vs reconstruction {recon.shape[1:]}")
-        term, grad = _mse(target, recon)
+        term, grad = _mse(target, recon, label, batched)
         value = value + term
         grads.append(grad)
         terms.append(term)
@@ -299,7 +306,7 @@ def mse_loss(target, pred) -> LossValueGrad:
     t = as_array(target, "target")
     p = as_array(pred, "pred")
     require_same_shape(t, p, "mse_loss")
-    return _single(LossValueGrad(*_mse(t[None], p[None])))
+    return _single(LossValueGrad(*_mse(t[None], p[None], batched=False)))
 
 
 def sims_vector(tokens) -> np.ndarray:
@@ -386,7 +393,7 @@ def crec_loss(
         ),
         batched=False,
     )
-    return _single(_crec(arrays, 1))
+    return _single(_crec(arrays, 1, batched=False))
 
 
 def text_total_loss(
@@ -412,7 +419,7 @@ def text_total_loss(
     target, pred = _token_pair(x["text_target"], x["text_pred"], "text_total_loss")
     require_same_shape(x["voxels_sem"], x["recon_sem"], "text_total_loss")
     mg = _mg(target, pred, anchor, weight_cka, weight_sims, batched)
-    recon, grad_recon = _mse(x["voxels_sem"], x["recon_sem"])
+    recon, grad_recon = _mse(x["voxels_sem"], x["recon_sem"], "semantic reconstruction", batched)
     loss = TextLoss(
         value=mg.value + recon,
         grad_pred_emb=mg.grad,
@@ -473,14 +480,14 @@ def image_total_loss(
     preds = {path: x[f"pred_{path}_emb"] for path in ("sem", "det") if x[f"pred_{path}_emb"] is not None}
     target, fused_pred = _token_pair(x["fused_target"], fuse_targets(*preds.values()), "image_total_loss")
     mg = _mg(target, fused_pred, anchor, weight_cka, weight_sims, batched)
-    crec = _crec(x, target.shape[0])
+    crec = _crec(x, target.shape[0], batched)
     mses = {}
     for path, pred in preds.items():
         path_target = x[f"{path}_emb_target"]
         if path_target is None:
             raise ShapeMismatch(f"{path}_emb_target: required when pred_{path}_emb is given")
         require_same_shape(path_target, pred, f"{path} path MSE")
-        mses[path] = _mse(path_target, pred)
+        mses[path] = _mse(path_target, pred, f"{path} path MSE", batched)
     value = mg.value + weight_crec * crec.value
     for mse_value, _ in mses.values():
         value = value + mse_value
@@ -521,23 +528,26 @@ def grad_check(f, point, h: float = 1e-5) -> float:
         raise ShapeMismatch(
             f"analytic gradient shape {analytic.shape} does not match point {x.shape}"
         )
-    return _central_differences(lambda p: f(p).value, x, analytic, h)
+    return _central_differences(lambda stack: [f(p).value for p in stack], x, analytic, h)
 
 
-def _central_differences(value_at, point: np.ndarray, analytic: np.ndarray, h: float) -> float:
+def _central_differences(values_at, point: np.ndarray, analytic: np.ndarray, h: float) -> float:
     """The loop behind :func:`grad_check`: worst relative error of `analytic` at `point`.
 
-    Each coordinate is scored at two fresh copies of `point`, moved by +h
-    and by -h, through ``value_at(copy) -> float``.
+    Every perturbed point is scored in one call, ``values_at(stack)``, which
+    returns one value per row of the ``(2 * point.size, *point.shape)``
+    stack: for each coordinate in ``np.ndindex`` order, a copy of `point`
+    moved by +h, then one moved by -h.
     """
+    indices = list(np.ndindex(point.shape))
+    stack = np.repeat(point[None], 2 * len(indices), axis=0)
+    for k, idx in enumerate(indices):
+        stack[(2 * k, *idx)] += h
+        stack[(2 * k + 1, *idx)] -= h
+    values = [float(v) for v in values_at(stack)]
     worst = 0.0
-    for idx in np.ndindex(point.shape):
-        plus = point.copy()
-        plus[idx] += h
-        minus = point.copy()
-        minus[idx] -= h
-        f_plus = float(value_at(plus))
-        f_minus = float(value_at(minus))
+    for k, idx in enumerate(indices):
+        f_plus, f_minus = values[2 * k], values[2 * k + 1]
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericalFailure(f"non-finite evaluation at index {idx}")
         numeric = (f_plus - f_minus) / (2.0 * h)

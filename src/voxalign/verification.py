@@ -6,8 +6,12 @@ paths are held to 1e-6 relative error; paths through cosine
 normalizations to 1e-5; paths through the CKA quotient to 1e-4.
 
 Both suites run the one central-difference loop behind
-:func:`~voxalign.losses.grad_check`: the loss suite through ``grad_check``
-itself, the model suite once per parameter tensor.
+:func:`~voxalign.losses.grad_check`, which stacks the 2·size perturbed
+points of a check and scores them in one call. A loss-suite check scores
+its stack with one batched loss call and takes its analytic gradient from
+the public single-sample function. The model suite runs one replayed
+forward per perturbed point of a parameter tensor and scores the tensor's
+stack of forwards with one batched loss call.
 """
 
 from __future__ import annotations
@@ -16,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# grad_check is not called here; perfbench/spans.py traces it in this module.
 from .losses import (
-    LossValueGrad,
     _central_differences,
+    _cka,
+    _crec,
+    _mg,
+    _mse,
+    _sims,
     cka_loss,
     crec_loss,
     grad_check,
@@ -71,14 +80,57 @@ _LOSS_THRESHOLDS = {
 _RECONS = ("recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross")
 
 
-def _arg_check(loss, args: dict, name: str, field: str) -> float:
-    """grad_check of ``loss(**args)`` in argument `name`, against the result's `field`."""
+def _arg_check(loss, score, args: dict, name: str, field: str) -> float:
+    """Central differences of `score` in argument `name`, against the `field` of ``loss(**args)``.
 
-    def f(x):
-        result = loss(**{**args, name: x})
-        return LossValueGrad(result.value, getattr(result, field))
+    ``score`` takes the arguments of ``loss`` with a leading sample axis on
+    every array and returns the per-sample values, so one call scores the
+    whole stack of perturbed points; the other arrays are repeated along
+    that axis.
+    """
+    analytic = getattr(loss(**args), field)
 
-    return grad_check(f, args[name], FD_STEP)
+    def values_at(stack):
+        n = len(stack)
+        return score(**{k: stack if k == name else _repeat(v, n) for k, v in args.items()})
+
+    return _central_differences(values_at, args[name], analytic, FD_STEP)
+
+
+def _repeat(x, n: int):
+    """`n` copies of array `x` stacked along a new leading axis; other values pass."""
+    return np.repeat(x[None], n, axis=0) if isinstance(x, np.ndarray) else x
+
+
+# Batched scorers of the loss-suite checks: the public function's arguments
+# with a leading sample axis in, per-sample values out. Each runs the kernel
+# that the public single-sample function runs on a batch of one.
+def _mse_values(target, pred):
+    return _mse(target, pred)[0]
+
+
+def _sims_values(target, pred, anchor):
+    return _sims(target, pred, anchor, batched=True)[0]
+
+
+def _cka_values(target, pred):
+    return _cka(target, pred, batched=True)[0]
+
+
+def _mg_values(target, pred):
+    return _mg(target, pred, "own_first_token", 1.0, 1.0, batched=True).value
+
+
+def _crec_values(**arrays):
+    return _crec(arrays, len(arrays["voxels_sem"]), batched=True).value
+
+
+def _text_total_values(**args):
+    return text_total_loss(**args).value
+
+
+def _image_total_values(**args):
+    return image_total_loss(**args).value
 
 
 def _crec_args(rng: Rng) -> dict:
@@ -94,46 +146,51 @@ def _crec_args(rng: Rng) -> dict:
     )
 
 
+def _loss_checks(s: int) -> list:
+    """Seed `s`'s loss-suite checks: (check, loss, batched scorer, args, argument, gradient field)."""
+    rng = Rng(1000 + s, "gradcheck")
+    m = 3 + s % 5  # token counts 3..7
+    d = 2 + s % 6  # widths 2..7
+    target = rng.child("target").normal(m, d)
+    pair = dict(target=target, pred=rng.child("pred").normal(m, d))
+    crec = _crec_args(rng.child("crec"))
+    text = dict(
+        text_target=target,
+        text_pred=pair["pred"],
+        voxels_sem=rng.child("f_s").normal(4),
+        recon_sem=rng.child("recon").normal(4),
+    )
+    image_rng = rng.child("image")
+    image = dict(
+        fused_target=image_rng.child("fused").normal(4, 3),
+        pred_sem_emb=image_rng.child("pred_sem").normal(4, 3),
+        pred_det_emb=image_rng.child("pred_det").normal(4, 3),
+        sem_emb_target=image_rng.child("sem_t").normal(4, 3),
+        det_emb_target=image_rng.child("det_t").normal(4, 3),
+        **_crec_args(image_rng),
+    )
+    wide = dict(target=target, pred=rng.child("pred_wide").normal(m, d + 1))
+    return [
+        ("mse", mse_loss, _mse_values, pair, "pred", "grad"),
+        ("sims/own_first_token", sims_loss, _sims_values, {**pair, "anchor": "own_first_token"}, "pred", "grad"),
+        ("sims/target_first_token", sims_loss, _sims_values, {**pair, "anchor": "target_first_token"}, "pred", "grad"),
+        ("cka", cka_loss, _cka_values, wide, "pred", "grad"),
+        ("mg", mg_loss, _mg_values, pair, "pred", "grad"),
+        *[("crec", crec_loss, _crec_values, crec, r, f"grad_{r}") for r in _RECONS],
+        ("text_total/pred_emb", text_total_loss, _text_total_values, text, "text_pred", "grad_pred_emb"),
+        ("text_total/recon", text_total_loss, _text_total_values, text, "recon_sem", "grad_recon_sem"),
+        ("image_total/pred_sem", image_total_loss, _image_total_values, image, "pred_sem_emb", "grad_pred_sem_emb"),
+        ("image_total/pred_det", image_total_loss, _image_total_values, image, "pred_det_emb", "grad_pred_det_emb"),
+        *[("image_total/recons", image_total_loss, _image_total_values, image, r, f"grad_{r}") for r in _RECONS],
+    ]
+
+
 def loss_gradient_suite(n_seeds: int = 20) -> list:
     """Finite-difference checks for every loss, maximized over seeds."""
     worst = dict.fromkeys(_LOSS_THRESHOLDS, 0.0)
     for s in range(n_seeds):
-        rng = Rng(1000 + s, "gradcheck")
-        m = 3 + s % 5  # token counts 3..7
-        d = 2 + s % 6  # widths 2..7
-        target = rng.child("target").normal(m, d)
-        pair = dict(target=target, pred=rng.child("pred").normal(m, d))
-        crec = _crec_args(rng.child("crec"))
-        text = dict(
-            text_target=target,
-            text_pred=pair["pred"],
-            voxels_sem=rng.child("f_s").normal(4),
-            recon_sem=rng.child("recon").normal(4),
-        )
-        image_rng = rng.child("image")
-        image = dict(
-            fused_target=image_rng.child("fused").normal(4, 3),
-            pred_sem_emb=image_rng.child("pred_sem").normal(4, 3),
-            pred_det_emb=image_rng.child("pred_det").normal(4, 3),
-            sem_emb_target=image_rng.child("sem_t").normal(4, 3),
-            det_emb_target=image_rng.child("det_t").normal(4, 3),
-            **_crec_args(image_rng),
-        )
-        checks = [
-            ("mse", mse_loss, pair, "pred", "grad"),
-            ("sims/own_first_token", sims_loss, {**pair, "anchor": "own_first_token"}, "pred", "grad"),
-            ("sims/target_first_token", sims_loss, {**pair, "anchor": "target_first_token"}, "pred", "grad"),
-            ("cka", cka_loss, dict(target=target, pred=rng.child("pred_wide").normal(m, d + 1)), "pred", "grad"),
-            ("mg", mg_loss, pair, "pred", "grad"),
-            *[("crec", crec_loss, crec, r, f"grad_{r}") for r in _RECONS],
-            ("text_total/pred_emb", text_total_loss, text, "text_pred", "grad_pred_emb"),
-            ("text_total/recon", text_total_loss, text, "recon_sem", "grad_recon_sem"),
-            ("image_total/pred_sem", image_total_loss, image, "pred_sem_emb", "grad_pred_sem_emb"),
-            ("image_total/pred_det", image_total_loss, image, "pred_det_emb", "grad_pred_det_emb"),
-            *[("image_total/recons", image_total_loss, image, r, f"grad_{r}") for r in _RECONS],
-        ]
-        for check, loss, args, name, field in checks:
-            worst[check] = max(worst[check], _arg_check(loss, args, name, field))
+        for check, *row in _loss_checks(s):
+            worst[check] = max(worst[check], _arg_check(*row))
     return [CheckResult(name, worst[name], threshold) for name, threshold in _LOSS_THRESHOLDS.items()]
 
 
@@ -151,25 +208,29 @@ def _tiny_config() -> ModelConfig:
     )
 
 
-def _max_param_error(params, grads: dict, loss_at, h: float = FD_STEP) -> float:
+def _max_param_error(params, grads: dict, forward, score, h: float = FD_STEP) -> float:
     """Worst relative error of `grads` over every entry of the tensors it names.
 
     Each perturbed copy of a tensor is swapped into ``params.tensors`` while
-    ``loss_at()`` scores the model; the original goes back afterwards, also
-    when scoring raises.
+    ``forward()`` runs the model; the original goes back afterwards, also
+    when a forward raises. ``score(forwards)`` then scores the forwards of
+    all the tensor's perturbed points in one call.
     """
     worst = 0.0
     for name in sorted(grads):
         original = params.tensors[name]
 
-        def value_at(point):
-            params.tensors[name] = point
-            return loss_at()
+        def values_at(stack):
+            forwards = []
+            try:
+                for point in stack:
+                    params.tensors[name] = point
+                    forwards.append(forward())
+            finally:
+                params.tensors[name] = original
+            return score(forwards)
 
-        try:
-            worst = max(worst, _central_differences(value_at, original, grads[name], h))
-        finally:
-            params.tensors[name] = original
+        worst = max(worst, _central_differences(values_at, original, grads[name], h))
     return worst
 
 
@@ -216,13 +277,24 @@ def _forward(branch: str, params, voxels: tuple, **replay):
     return image_branch_forward(*voxels, params, **replay)
 
 
-def _branch_loss(branch: str, fwd, voxels: tuple, targets: dict):
-    """One batched loss call scoring a branch's forward on its batch of one."""
+# The outputs of each branch forward that its loss scores.
+_SCORED = {"text": ("pred_emb", "recon_sem"), "image": ("pred_sem_emb", "pred_det_emb", *_RECONS)}
+
+
+def _branch_loss(branch: str, fwds: list, voxels: tuple, targets: dict):
+    """One batched loss call scoring a branch's forwards, each on the batch of one sample.
+
+    The forwards' outputs are concatenated along the sample axis, and the
+    voxels and targets repeated to match.
+    """
+    out = {f: np.concatenate([getattr(fwd, f) for fwd in fwds]) for f in _SCORED[branch]}
+    vox = [np.repeat(v, len(fwds), axis=0) for v in voxels]
+    tgt = {k: np.repeat(t, len(fwds), axis=0) for k, t in targets.items()}
     if branch == "text":
-        return text_total_loss(targets["text"], fwd.pred_emb, voxels[0], fwd.recon_sem)
+        return text_total_loss(tgt["text"], out["pred_emb"], vox[0], out["recon_sem"])
     return image_total_loss(
-        targets["fused"], fwd.pred_sem_emb, fwd.pred_det_emb, targets["sem"], targets["det"],
-        *voxels, *(getattr(fwd, r) for r in _RECONS),
+        tgt["fused"], out["pred_sem_emb"], out["pred_det_emb"], tgt["sem"], tgt["det"],
+        *vox, *(out[r] for r in _RECONS),
     )
 
 
@@ -264,13 +336,14 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
         }
         for branch, fwd in fwds.items():
             masks = collect_masks(fwd.caches)
-            loss = _branch_loss(branch, fwd, voxels, targets)
+            loss = _branch_loss(branch, [fwd], voxels, targets)
             backward = text_branch_backward if branch == "text" else image_branch_backward
             grads = backward(params, fwd, **{k: v for k, v in vars(loss).items() if k.startswith("grad_")})
             error = _max_param_error(
                 params,
                 grads,
-                lambda: _branch_loss(branch, _forward(branch, params, voxels, masks=masks), voxels, targets).value[0],
+                lambda: _forward(branch, params, voxels, masks=masks),
+                lambda fwds: _branch_loss(branch, fwds, voxels, targets).value,
             )
             worst[branch] = max(worst[branch], error)
     return [CheckResult(f"model/{branch}_branch", error, 1e-4) for branch, error in worst.items()]

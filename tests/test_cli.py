@@ -193,6 +193,32 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
 
+    @pytest.mark.parametrize("damage,named,detail", [
+        ("not_utf8", "meta.txt", "not UTF-8 text"),
+        ("no_image_dim", "meta.txt", "missing key 'image_dim'"),
+        ("bad_n_train", "meta.txt", "n_train='x' is not an integer"),
+        ("extra_caption", "captions/3/extra.mat1", "expected a file named <number>.mat1"),
+    ])
+    def test_malformed_meta_or_caption_named_exit_2(self, workspace, tmp_path, capsys, damage, named, detail):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / named
+        if damage == "not_utf8":
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        elif damage == "no_image_dim":
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(l for l in lines if not l.startswith("image_dim=")))
+        elif damage == "bad_n_train":
+            path.write_text(path.read_text() + "n_train=x\n")
+        else:
+            shutil.copy(data / "captions" / "3" / "0.mat1", path)
+        code = main(["train", "--config", str(workspace / "train.cfg"), "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        assert f"error: {path}: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestEval:
     def test_eval_writes_metrics(self, workspace):
         out = workspace / "eval_out"

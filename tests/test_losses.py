@@ -602,6 +602,38 @@ class TestOverflowOnFiniteInputs:
         with pytest.raises(NumericalFailure, match="^sims term overflows"):
             sims_loss(a[0], b[0], anchor)
 
+    def test_mse_names_term(self):
+        # Unchecked, this returned inf with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^MSE term overflows on finite inputs$"):
+                mse_loss(np.zeros((2, 2)), np.full((2, 2), 1e200))
+
+    def test_batched_mse_names_sample_and_term(self):
+        a, b = _batch(19, 4, 4, 3)
+        recon = np.zeros((4, 4))
+        recon[2, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalFailure, match="^sample 2: semantic reconstruction term overflows on finite inputs$"
+            ):
+                text_total_loss(a, b, np.ones((4, 4)), recon)
+            images = _image_args(20, 4, ("sem", "det"))
+            images["det_emb_target"][1] *= 1e200
+            with pytest.raises(NumericalFailure, match="^sample 1: det path MSE term overflows"):
+                image_total_loss(**images)
+
+    def test_crec_names_term(self):
+        # The cross detail reconstruction matches its target; the direct one is 2e300 off.
+        recons = [np.zeros(3), np.full(5, 1e300), np.full(5, -1e300), np.zeros(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalFailure, match="^direct detail reconstruction term overflows on finite inputs$"
+            ):
+                crec_loss(np.ones(3), np.full(5, 1e300), *recons)
+
     def test_large_finite_terms_pass(self):
         a, b = _batch(16, 3, 4, 3)
         np.testing.assert_allclose(cka_loss(a[0], 1e50 * b[0]).value, cka_loss(a[0], b[0]).value)

@@ -1,11 +1,14 @@
 """Tests of the gradient verification suites themselves."""
 
+import re
+
 import numpy as np
 import pytest
 
 from voxalign import verification
 from voxalign.cli import main
-from voxalign.losses import LossValueGrad
+from voxalign.errors import NumericalFailure
+from voxalign.losses import LossValueGrad, _central_differences
 from voxalign.model import init_params
 from voxalign.rng import Rng
 
@@ -85,22 +88,124 @@ def test_wrong_model_gradient_fails(monkeypatch):
     assert results["model/image_branch"].passed
 
 
-def test_tensors_restored_after_failed_evaluation():
+def _fail_forward_at(k):
+    """A forward that raises on its k-th call, and a scorer of zeros."""
+    calls = []
+
+    def forward():
+        calls.append(1)
+        if len(calls) == k:
+            raise RuntimeError("scoring failed")
+
+    return forward, lambda forwards: np.zeros(len(forwards))
+
+
+def _fail_score_at(k):
+    """A forward that always succeeds, and a scorer that raises on its k-th call."""
+    calls = []
+
+    def score(forwards):
+        calls.append(1)
+        if len(calls) == k:
+            raise RuntimeError("scoring failed")
+        return np.zeros(len(forwards))
+
+    return lambda: None, score
+
+
+def _assert_failure_restores(forward, score):
     params = init_params(verification._tiny_config(), Rng(3, "restore"))
     before = dict(params.tensors)
     values = {name: t.copy() for name, t in before.items()}
     grads = {name: np.zeros_like(t) for name, t in before.items() if name.startswith("text.")}
-    calls = []
-
-    def loss_at():
-        calls.append(1)
-        if len(calls) == 5:
-            raise RuntimeError("scoring failed")
-        return 0.0
 
     with pytest.raises(RuntimeError, match="scoring failed"):
-        verification._max_param_error(params, grads, loss_at)
+        verification._max_param_error(params, grads, forward, score)
     assert params.tensors.keys() == before.keys()
     for name, tensor in before.items():
         assert params.tensors[name] is tensor, name
         np.testing.assert_array_equal(tensor, values[name])
+
+
+def test_tensors_restored_after_failed_evaluation():
+    # Part-way through the first tensor's stack of forwards.
+    _assert_failure_restores(*_fail_forward_at(5))
+
+
+def test_tensors_restored_after_failed_scoring():
+    # After the second tensor's whole stack of forwards has run.
+    _assert_failure_restores(*_fail_score_at(2))
+
+
+def _copy_per_point(point, h):
+    """The perturbed points as a copy-per-point loop makes them: +h then -h per index."""
+    points = []
+    for idx in np.ndindex(point.shape):
+        plus = point.copy()
+        plus[idx] += h
+        minus = point.copy()
+        minus[idx] -= h
+        points += [plus, minus]
+    return points
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 4), (2, 3, 2)])
+def test_stack_matches_copy_per_point(shape):
+    point = Rng(5, f"stack-{shape}").normal(*shape) * 10.0 ** np.arange(shape[-1])
+    seen = []
+
+    def values_at(stack):
+        seen.append(stack.copy())
+        return np.zeros(len(stack))
+
+    assert _central_differences(values_at, point, np.zeros(shape), verification.FD_STEP) == 0.0
+    [stack] = seen
+    want = _copy_per_point(point, verification.FD_STEP)
+    assert stack.shape == (len(want), *shape)
+    for got, expected in zip(stack, want):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_names_its_index(bad):
+    point = np.zeros((2, 3))
+    indices = list(np.ndindex(point.shape))
+    for position in range(2 * point.size):
+        values = np.ones(2 * point.size)
+        values[position] = bad
+        message = re.escape(f"non-finite evaluation at index {indices[position // 2]}")
+        with pytest.raises(NumericalFailure, match=message):
+            _central_differences(lambda stack: values, point, np.zeros(point.shape), 1e-5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_scorers_match_public_values(seed):
+    for check, loss, score, args, name, field in verification._loss_checks(seed):
+        scored = []
+
+        def spy(**batch):
+            values = score(**batch)
+            scored.append((batch[name], values))
+            return values
+
+        verification._arg_check(loss, spy, args, name, field)
+        [(stack, values)] = scored
+        assert len(values) == len(stack) == 2 * args[name].size, check
+        for point, value in zip(stack, values):
+            assert value == loss(**{**args, name: point}).value, check
+
+
+def test_model_suite_scores_each_tensor_in_one_call(monkeypatch):
+    calls = {"text": 0, "image": 0}
+    for branch in calls:
+        loss = getattr(verification, f"{branch}_total_loss")
+
+        def counted(*args, _loss=loss, _branch=branch, **kwargs):
+            calls[_branch] += 1
+            return _loss(*args, **kwargs)
+
+        monkeypatch.setattr(verification, f"{branch}_total_loss", counted)
+    assert all(r.passed for r in verification.model_gradient_suite(n_seeds=1))
+    names = init_params(verification._tiny_config(), Rng(0, "names")).tensors
+    # One analytic call per branch, then one scoring call per parameter tensor.
+    assert calls == {b: 1 + sum(n.startswith(f"{b}.") for n in names) for b in calls}
