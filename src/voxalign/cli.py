@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import os
 import shutil
 import sys
@@ -225,6 +226,10 @@ def cmd_analyze(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
     raw = _read_config(args.config)
     resolved = cfgmod.resolve(raw, ANALYZE_SCHEMA)
+    if resolved["rsa_mode"] not in ("raw", "ridge"):
+        raise UsageError(f"config key 'rsa_mode': expected 'raw' or 'ridge', got {resolved['rsa_mode']!r}")
+    if resolved["ridge_lambda"] < 0.0:
+        raise UsageError(f"config key 'ridge_lambda': must be >= 0, got {resolved['ridge_lambda']!r}")
 
     if args.mode == "rsa":
         voxels_sem, _ = split_regions(dataset.voxels, dataset.mask)
@@ -268,8 +273,8 @@ def cmd_backproject(args, out: Path) -> int:
     ckpt_dir = Path(args.ckpt)
     if not ckpt_dir.is_dir():
         raise UsageError(f"checkpoint directory {ckpt_dir} does not exist")
-    if args.lasso_lambda <= 0:
-        raise UsageError("--lambda must be positive")
+    if not (math.isfinite(args.lasso_lambda) and args.lasso_lambda > 0):
+        raise UsageError(f"--lambda must be positive and finite, got {args.lasso_lambda!r}")
     params = load_params(ckpt_dir)
     dataset = _load_dataset_arg(args.data)
 

@@ -10,6 +10,7 @@ on its dataclass field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,7 +22,10 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):  # no key has a meaningful nan or inf
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -38,7 +42,7 @@ def _parse_str(text: str) -> str:
 
 
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
 
 
 def _parse_int_or_auto(text: str):

@@ -7,7 +7,6 @@ validated and never mutated.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ._arrays import as_array, as_matrix, as_vector
 from .errors import DegenerateInput, NumericalFailure, ShapeMismatch
@@ -119,19 +118,24 @@ def ridge_solve(x, y, lam: float) -> np.ndarray:
 
     Solved through a Cholesky factorization of ``X^T X + lam I``; a
     factorization failure (matrix not positive definite after
-    regularization) raises :class:`NumericalFailure`.
+    regularization) raises :class:`NumericalFailure`. A negative or
+    non-finite ``lam`` raises ``ValueError``. ``scipy.linalg`` is imported
+    here, on the first call, so that importing the package does not load
+    scipy.
     """
     xm = as_matrix(x, "X")
     ym = as_matrix(y, "Y")
     if xm.shape[0] != ym.shape[0]:
         raise ShapeMismatch(f"row mismatch: X has {xm.shape[0]}, Y has {ym.shape[0]}")
     lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and non-negative, got {lam!r}")
     p = xm.shape[1]
     gram = xm.T @ xm
     if lam > 0.0:
         gram = gram + lam * np.eye(p)
+    import scipy.linalg
+
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

@@ -15,9 +15,9 @@ bytes  content
 ====== ======= =====================================
 
 ``load_matrix(save_matrix(M))`` reproduces ``M`` bit for bit, including
-the sign of zero. Loads reject NaN/Inf payloads, so every matrix read
-from disk satisfies the finiteness invariant, and every load error names
-the file.
+the sign of zero. Saves and loads reject NaN/Inf payloads, naming the
+file, so every matrix on disk satisfies the finiteness invariant, and
+every load error names the file.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatch
+from .errors import FormatError, NumericalFailure, ShapeMismatch
 
 MAGIC = b"BMC1"
 _HEADER = struct.Struct("<4sBBHQQ")
@@ -35,12 +35,19 @@ HEADER_SIZE = _HEADER.size  # 24
 
 
 def save_matrix(matrix, path) -> None:
-    """Write a 2-D float64 matrix to `path` in MAT1 format."""
+    """Write a 2-D float64 matrix to `path` in MAT1 format.
+
+    A non-finite entry raises :class:`NumericalFailure` naming the path, and
+    nothing is written.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatch(f"save_matrix expects a 2-D array, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"save_matrix expects non-empty dimensions, got {m.shape}")
+    if not np.isfinite(m).all():
+        bad = np.flatnonzero(~np.isfinite(m))[0]
+        raise NumericalFailure(f"{path}: non-finite value at element {bad}, not written")
     header = _HEADER.pack(MAGIC, 1, 1, 0, m.shape[0], m.shape[1])
     payload = np.ascontiguousarray(m, dtype="<f8").tobytes()
     Path(path).write_bytes(header + payload)

@@ -80,8 +80,16 @@ class TrainConfig:
             raise DegenerateInput("epochs must be >= 1")
         if self.batch_size < 1:
             raise DegenerateInput("batch_size must be >= 1")
+        for name in ("text_batch_size", "image_batch_size"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise DegenerateInput(f"{name} must be >= 1 when set")
         if self.learning_rate < 0.0:
             raise DegenerateInput("learning_rate must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise DegenerateInput(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not self.epsilon > 0.0:
+            raise DegenerateInput(f"epsilon must be > 0, got {self.epsilon!r}")
         if self.anchor_mode not in ANCHOR_MODES:
             raise DegenerateInput(f"anchor_mode must be one of {ANCHOR_MODES}")
         if self.eval_similarity not in ("pearson", "cosine"):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -81,6 +84,19 @@ class TestGenData:
                      "--out", str(workspace / "typo_out"), "--quiet"])
         assert code == 2
         assert "n_trian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key", [
+        ("noise_voxel_low=nan", "noise_voxel_low"),
+        ("noise_layer=inf", "noise_layer"),
+        ("n_layers=3\nalpha_schedule=0.5,-inf,0.0", "alpha_schedule"),
+    ])
+    def test_non_finite_value_exit_2(self, workspace, tmp_path, capsys, line, key):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(SMALL_GEN + line + "\n")
+        code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert f"error: config key '{key}': expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nonempty_out_requires_force(self, workspace):
         code = main(["gen-data", "--config", str(workspace / "gen.cfg"),
@@ -165,6 +181,24 @@ class TestTrain:
         assert code == 3
         assert [str(w.message) for w in caught] == []
         assert "CKA term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("learning_rate=nan", "config key 'learning_rate': expected a finite number, got 'nan'"),
+        ("weight_cka=-inf", "config key 'weight_cka': expected a finite number, got '-inf'"),
+        ("text_batch_size=-5", "text_batch_size must be >= 1 when set"),
+        ("image_batch_size=0", "image_batch_size must be >= 1 when set"),
+        ("beta1=1.0", "beta1 must lie in [0, 1), got 1.0"),
+        ("beta2=-0.1", "beta2 must lie in [0, 1), got -0.1"),
+        ("epsilon=0", "epsilon must be > 0, got 0.0"),
+    ])
+    def test_out_of_domain_setting_named_exit_2(self, workspace, tmp_path, capsys, line, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(SMALL_TRAIN + line + "\n")
+        code = main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("damage,named", [
         ("truncate", "layers/layer_2.mat1"),
@@ -326,6 +360,21 @@ class TestAnalyze:
         assert lines[0] == "range,two_way_image"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("lines,message", [
+        ("rsa_mode=ridge\nridge_lambda=-1", "config key 'ridge_lambda': must be >= 0, got -1.0"),
+        ("rsa_mode=ridge\nridge_lambda=nan", "config key 'ridge_lambda': expected a finite number"),
+        ("rsa_mode=ridge\nridge_lambda=inf", "config key 'ridge_lambda': expected a finite number"),
+        ("rsa_mode=lasso", "config key 'rsa_mode': expected 'raw' or 'ridge', got 'lasso'"),
+    ])
+    def test_bad_rsa_setting_named_exit_2(self, workspace, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "rsa.cfg"
+        cfg.write_text(lines + "\n")
+        code = main(["analyze", "--mode", "rsa", "--config", str(cfg),
+                     "--data", str(workspace / "data"), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_force_run_keeps_old_output(self, workspace, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -375,8 +424,78 @@ class TestBackproject:
                      "--out", str(workspace / "bp_bad"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_out_of_domain_lambda_named_exit_2(self, workspace, tmp_path, capsys, value):
+        code = main(["backproject", "--ckpt", str(workspace / "run" / "checkpoint"),
+                     "--data", str(workspace / "data"), "--lambda", value,
+                     "--out", str(tmp_path / "bp"), "--quiet"])
+        assert code == 2
+        assert "error: --lambda must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "bp").exists()
+
 
 def test_gradcheck_exit_zero(capsys):
     assert main(["gradcheck", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+_RUN_COMMANDS = """
+import json, sys
+from voxalign.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv + ["--quiet"]) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(commands):
+    """The scipy modules loaded once ``commands`` have run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScipyLoadedOnlyByRidge:
+    """Only ridge RSA needs scipy, so no other command pays for its import."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        (tmp_path / "gen.cfg").write_text(SMALL_GEN)
+        (tmp_path / "train.cfg").write_text(SMALL_TRAIN.replace("epochs=3", "epochs=1"))
+        (tmp_path / "scan.cfg").write_text("scan_ranges=2-4\nscan_epochs=1\nlatent_dim=8\n")
+        for mode in ("raw", "ridge"):
+            (tmp_path / f"{mode}.cfg").write_text(f"rsa_mode={mode}\n")
+        data = str(tmp_path / "data")
+        gen = ["gen-data", "--config", str(tmp_path / "gen.cfg"), "--out", data]
+        return tmp_path, data, gen
+
+    def test_every_other_command_leaves_scipy_unloaded(self, configs):
+        root, data, gen = configs
+        ckpt = str(root / "run" / "checkpoint")
+        assert _scipy_modules_after([
+            gen,
+            ["train", "--config", str(root / "train.cfg"), "--data", data, "--out", str(root / "run")],
+            ["eval", "--ckpt", ckpt, "--data", data, "--out", str(root / "eval")],
+            ["backproject", "--ckpt", ckpt, "--data", data, "--out", str(root / "bp")],
+            ["analyze", "--mode", "rsa", "--config", str(root / "raw.cfg"), "--data", data,
+             "--out", str(root / "rsa")],
+            ["analyze", "--mode", "cka-heatmap", "--data", data, "--out", str(root / "cka")],
+            ["analyze", "--mode", "layer-scan", "--config", str(root / "scan.cfg"), "--data", data,
+             "--out", str(root / "scan")],
+            ["gradcheck"],
+        ]) == []
+
+    def test_ridge_rsa_loads_scipy(self, configs):
+        root, data, gen = configs
+        loaded = _scipy_modules_after([
+            gen,
+            ["analyze", "--mode", "rsa", "--config", str(root / "ridge.cfg"), "--data", data,
+             "--out", str(root / "rsa")],
+        ])
+        assert "scipy.linalg" in loaded

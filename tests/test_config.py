@@ -42,6 +42,9 @@ def train_configs(draw):
     values = {f.name: draw(_values(f.default)) for f in fields(TrainConfig)}
     values["anchor_mode"] = draw(st.sampled_from(ANCHOR_MODES))
     values["eval_similarity"] = draw(st.sampled_from(("pearson", "cosine")))
+    for name in ("beta1", "beta2"):
+        values[name] = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    values["epsilon"] = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     if values["detail_layer_lo"] is None:
         values["detail_layer_hi"] = None
     else:

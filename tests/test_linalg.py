@@ -210,3 +210,8 @@ class TestRidgeSolve:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and non-negative"):
+            ridge_solve(np.eye(2), np.eye(2), lam)

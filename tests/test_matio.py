@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from voxalign.errors import FormatError, ShapeMismatch
+from voxalign.errors import FormatError, NumericalFailure, ShapeMismatch
 from voxalign.matio import HEADER_SIZE, load_matrix, save_matrix
 from voxalign.rng import Rng
 
@@ -115,3 +115,19 @@ def test_errors_name_the_file(tmp_path):
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated payload") as exc:
         load_matrix(path)
     assert exc.value.offset == 30
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_rejects_non_finite_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "m.mat1"
+    m = np.ones((2, 3))
+    m[1, 0] = bad
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(str(path))}: non-finite value at element 3"):
+        save_matrix(m, path)
+    assert not path.exists()
+    # an earlier file at the path is left as it was
+    save_matrix(np.ones((1, 1)), path)
+    before = path.read_bytes()
+    with pytest.raises(NumericalFailure):
+        save_matrix(m, path)
+    assert path.read_bytes() == before
