@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
-import math
 import os
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -66,14 +65,23 @@ SYNTH_SCHEMA = cfgmod.schema(SynthConfig())
 TRAIN_SCHEMA = cfgmod.schema(TrainConfig())
 # The other model fields come from the dataset.
 MODEL_SCHEMA = cfgmod.schema(desk_config(), ("latent_dim", "dropout_codec", "dropout_backbone"))
-ANALYZE_SCHEMA = {
-    "rsa_mode": ("str", "raw"),
-    "ridge_lambda": ("float", "1.0"),
-    "scan_ranges": ("str", "2-5,2-5+final,1-4,1-4+final"),
-    "scan_epochs": ("int", "60"),
-    **MODEL_SCHEMA,
-    **TRAIN_SCHEMA,
-}
+
+
+@dataclass(frozen=True)
+class AnalyzeConfig:
+    """The settings only ``analyze`` reads; ``layer-scan`` trains with
+    ``scan_epochs`` in place of ``epochs``."""
+
+    rsa_mode: str = cfgmod.setting("raw", choices=("raw", "ridge"))
+    ridge_lambda: float = cfgmod.setting(1.0, low=0.0)
+    scan_ranges: str = "2-5,2-5+final,1-4,1-4+final"
+    scan_epochs: int = cfgmod.setting(60, low=1)
+
+    def __post_init__(self):
+        cfgmod.check_fields(self)
+
+
+ANALYZE_SCHEMA = cfgmod.schema(AnalyzeConfig())
 
 
 @contextlib.contextmanager
@@ -147,15 +155,9 @@ def _eval_settings(train_cfg: TrainConfig, dataset: Dataset) -> dict:
 
 def cmd_train(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
-    raw = _read_config(args.config)
-    model_resolved = cfgmod.resolve(
-        {k: v for k, v in raw.items() if k in MODEL_SCHEMA}, MODEL_SCHEMA
-    )
-    train_resolved = cfgmod.resolve(
-        {k: v for k, v in raw.items() if k not in MODEL_SCHEMA}, TRAIN_SCHEMA
-    )
-    model_cfg = _model_config(model_resolved, dataset)
-    train_cfg = TrainConfig(**train_resolved, seed=args.seed)
+    resolved = cfgmod.resolve(_read_config(args.config), {**MODEL_SCHEMA, **TRAIN_SCHEMA})
+    model_cfg = _model_config(resolved, dataset)
+    train_cfg = TrainConfig(**_pick(resolved, TRAIN_SCHEMA), seed=args.seed)
 
     params, report, metrics = run_ablation(args.variant, dataset, model_cfg, train_cfg)
     ckpt_dir = out / "checkpoint"
@@ -169,8 +171,7 @@ def cmd_train(args, out: Path) -> int:
     )
     cfgmod.write_resolved(
         {
-            **model_resolved,
-            **train_resolved,
+            **resolved,
             **targets,
             "seed": args.seed,
             "variant": args.variant,
@@ -191,10 +192,11 @@ def cmd_train(args, out: Path) -> int:
 
 def _checkpoint_train_cfg(ckpt_dir: Path, seed: int) -> TrainConfig:
     targets_path = ckpt_dir / "targets.cfg"
-    if not targets_path.exists():
-        raise UsageError(f"checkpoint {ckpt_dir} has no targets.cfg")
-    raw = cfgmod.read_config_file(targets_path)
-    return TrainConfig(**cfgmod.resolve(raw, TRAIN_SCHEMA), seed=seed)
+    raw = cfgmod.read_config_file(targets_path)  # its errors name the file and line
+    try:
+        return TrainConfig(**cfgmod.resolve(raw, TRAIN_SCHEMA), seed=seed)
+    except (UsageError, DegenerateInput) as exc:
+        raise UsageError(f"{targets_path}: {exc}") from None
 
 
 def cmd_eval(args, out: Path) -> int:
@@ -224,12 +226,12 @@ def cmd_eval(args, out: Path) -> int:
 
 def cmd_analyze(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
-    raw = _read_config(args.config)
-    resolved = cfgmod.resolve(raw, ANALYZE_SCHEMA)
-    if resolved["rsa_mode"] not in ("raw", "ridge"):
-        raise UsageError(f"config key 'rsa_mode': expected 'raw' or 'ridge', got {resolved['rsa_mode']!r}")
-    if resolved["ridge_lambda"] < 0.0:
-        raise UsageError(f"config key 'ridge_lambda': must be >= 0, got {resolved['ridge_lambda']!r}")
+    resolved = cfgmod.resolve(
+        _read_config(args.config), {**ANALYZE_SCHEMA, **MODEL_SCHEMA, **TRAIN_SCHEMA}
+    )
+    settings = AnalyzeConfig(**_pick(resolved, ANALYZE_SCHEMA))
+    model_cfg = _model_config(resolved, dataset)
+    train_cfg = TrainConfig(**_pick(resolved, TRAIN_SCHEMA), seed=args.seed)
 
     if args.mode == "rsa":
         voxels_sem, _ = split_regions(dataset.voxels, dataset.mask)
@@ -239,8 +241,7 @@ def cmd_analyze(args, out: Path) -> int:
             regions.append(("low_level", low))
         regions.append(("high_level", voxels_sem))
         rows = region_layer_rsa(
-            regions, dataset.layers, mode=resolved["rsa_mode"],
-            ridge_lambda=resolved["ridge_lambda"],
+            regions, dataset.layers, mode=settings.rsa_mode, ridge_lambda=settings.ridge_lambda,
         )
         write_rsa_table_csv(rows, out / "rsa.csv")
         written = "rsa.csv"
@@ -249,12 +250,10 @@ def cmd_analyze(args, out: Path) -> int:
         write_square_csv(heatmap, out / "cka_heatmap.csv")
         written = "cka_heatmap.csv"
     else:  # layer-scan
-        model_cfg = _model_config(resolved, dataset)
-        train_cfg = replace(
-            TrainConfig(**_pick(resolved, TRAIN_SCHEMA), seed=args.seed), epochs=resolved["scan_epochs"]
+        ranges = parse_scan_ranges(settings.scan_ranges)
+        rows = layer_range_scan(
+            dataset, ranges, model_cfg, replace(train_cfg, epochs=settings.scan_epochs)
         )
-        ranges = parse_scan_ranges(resolved["scan_ranges"])
-        rows = layer_range_scan(dataset, ranges, model_cfg, train_cfg)
         lines = ["range,two_way_image"]
         lines += [f"{label},{format(value, '.9g')}" for label, value in rows]
         (out / "layer_scan.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -273,8 +272,7 @@ def cmd_backproject(args, out: Path) -> int:
     ckpt_dir = Path(args.ckpt)
     if not ckpt_dir.is_dir():
         raise UsageError(f"checkpoint directory {ckpt_dir} does not exist")
-    if not (math.isfinite(args.lasso_lambda) and args.lasso_lambda > 0):
-        raise UsageError(f"--lambda must be positive and finite, got {args.lasso_lambda!r}")
+    cfgmod.check("--lambda", args.lasso_lambda, above=0.0)
     params = load_params(ckpt_dir)
     dataset = _load_dataset_arg(args.data)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._arrays import as_matrix
 from .alignment import LayerStack
-from .config import format_value
+from .config import check_fields, format_value, read_text, setting
 from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch
 from .matio import load_matrix, save_matrix
 from .rng import Rng
@@ -96,33 +96,28 @@ def split_regions(voxels, mask: RegionMask):
 class SynthConfig:
     """Generator settings; all structure is a pure function of these."""
 
-    n_train: int = 512
-    n_test: int = 64
-    n_low_voxels: int = 80
-    n_high_voxels: int = 60
-    k_semantic: int = 12
-    k_detail: int = 16
-    n_layers: int = 6
-    alpha_schedule: tuple = (0.9, 0.72, 0.54, 0.36, 0.18, 0.0)
-    noise_voxel_low: float = 0.1
-    noise_voxel_high: float = 0.1
-    noise_layer: float = 0.1
-    noise_caption: float = 0.25
-    text_tokens: int = 8
-    text_dim: int = 16
-    image_tokens: int = 12
-    image_dim: int = 16
+    n_train: int = setting(512, low=1)
+    n_test: int = setting(64, low=1)
+    n_low_voxels: int = setting(80, low=1)
+    n_high_voxels: int = setting(60, low=1)
+    k_semantic: int = setting(12, low=1)
+    k_detail: int = setting(16, low=1)
+    n_layers: int = setting(6, low=1)
+    alpha_schedule: tuple = setting((0.9, 0.72, 0.54, 0.36, 0.18, 0.0), low=0.0, high=1.0)
+    noise_voxel_low: float = setting(0.1, low=0.0)
+    noise_voxel_high: float = setting(0.1, low=0.0)
+    noise_layer: float = setting(0.1, low=0.0)
+    noise_caption: float = setting(0.25, low=0.0)
+    text_tokens: int = setting(8, low=1)
+    text_dim: int = setting(16, low=1)
+    image_tokens: int = setting(12, low=1)
+    image_dim: int = setting(16, low=1)
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "n_train", "n_test", "n_low_voxels", "n_high_voxels",
-            "k_semantic", "k_detail", "n_layers",
-            "text_tokens", "text_dim", "image_tokens", "image_dim",
-        ):
-            if int(getattr(self, name)) < 1:
-                raise DegenerateInput(f"{name} must be >= 1")
         alphas = tuple(float(a) for a in self.alpha_schedule)
+        object.__setattr__(self, "alpha_schedule", alphas)
+        check_fields(self)
         if len(alphas) != self.n_layers:
             raise DegenerateInput(
                 f"alpha_schedule has {len(alphas)} entries for {self.n_layers} layers"
@@ -131,12 +126,6 @@ class SynthConfig:
             raise DegenerateInput("alpha_schedule must be strictly decreasing")
         if alphas[-1] != 0.0:
             raise DegenerateInput("alpha_schedule must end at exactly 0.0")
-        if any(a < 0.0 or a > 1.0 for a in alphas):
-            raise DegenerateInput("alpha_schedule entries must lie in [0, 1]")
-        for name in ("noise_voxel_low", "noise_voxel_high", "noise_layer", "noise_caption"):
-            if float(getattr(self, name)) < 0.0:
-                raise DegenerateInput(f"{name} must be >= 0")
-        object.__setattr__(self, "alpha_schedule", alphas)
 
     @property
     def n_stimuli(self) -> int:
@@ -335,14 +324,8 @@ _META_INTEGERS = ("n_train", "n_test", "text_tokens", "text_dim", "image_tokens"
 
 def _read_meta(path: Path) -> dict:
     """The ``key=value`` lines of a meta.txt, which must give every key the library reads."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read ({exc.strerror or exc})", offset=0) from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
     meta = {}
-    for line in text.splitlines():
+    for line in read_text(path).splitlines():
         if line.strip():
             key, _, value = line.partition("=")
             meta[key] = value
@@ -384,11 +367,7 @@ def load_dataset(directory) -> Dataset:
     voxels = load_matrix(root / "voxels.mat1")
     mask_path = root / "mask.txt"
     try:
-        mask = RegionMask(tuple(l for l in mask_path.read_text(encoding="utf-8").splitlines() if l))
-    except OSError as exc:
-        raise FormatError(f"{mask_path}: cannot read ({exc.strerror or exc})", offset=0) from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{mask_path}: not UTF-8 text", offset=exc.start) from None
+        mask = RegionMask(tuple(l for l in read_text(mask_path).splitlines() if l))
     except DegenerateInput as exc:
         raise DegenerateInput(f"{mask_path}: {exc}") from None
     if voxels.shape[1] != mask.n_detail:

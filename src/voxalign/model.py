@@ -21,20 +21,21 @@ Each branch is an ordered block list derived from its active paths (see
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from ._arrays import as_matrix
-from .config import PARSERS, format_value
+from .config import check_fields, read_config_file, read_text, resolve, setting, write_resolved
 from .data import SynthConfig, fuse_targets
 from .errors import (
     DegenerateInput,
     FormatError,
     InvalidState,
     ShapeMismatch,
+    UsageError,
 )
 from .matio import load_matrix, save_matrix
 from .rng import Rng
@@ -59,23 +60,18 @@ class ModelConfig:
     257x768 image tokens); nothing in the network depends on that choice.
     """
 
-    n_semantic_voxels: int
-    n_detail_voxels: int
-    latent_dim: int
-    text_tokens: int
-    text_dim: int
-    image_tokens: int
-    image_dim: int
-    dropout_codec: float = 0.15
-    dropout_backbone: float = 0.5
+    n_semantic_voxels: int = setting(low=1)
+    n_detail_voxels: int = setting(low=1)
+    latent_dim: int = setting(low=1)
+    text_tokens: int = setting(low=1)
+    text_dim: int = setting(low=1)
+    image_tokens: int = setting(low=1)
+    image_dim: int = setting(low=1)
+    dropout_codec: float = setting(0.15, low=0.0, below=1.0)
+    dropout_backbone: float = setting(0.5, low=0.0, below=1.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and int(value) < 1:
-                raise DegenerateInput(f"{f.name} must be >= 1")
-            if f.type == "float" and not 0.0 <= float(value) < 1.0:
-                raise DegenerateInput(f"{f.name} must lie in [0, 1), got {float(value)}")
+        check_fields(self)
 
 
 def desk_config() -> ModelConfig:
@@ -504,6 +500,10 @@ def collect_masks(caches: dict) -> dict:
     return masks
 
 
+# model.cfg gives the variant and every ModelConfig field; no key has a default.
+_CFG_SCHEMA = {"variant": ("str", None), **{f.name: (f.type, None) for f in fields(ModelConfig)}}
+
+
 def save_params(params: ModelParams, directory) -> None:
     """Write a checkpoint: one MAT1 file per tensor plus manifest and config."""
     out = Path(directory)
@@ -516,40 +516,26 @@ def save_params(params: ModelParams, directory) -> None:
         save_matrix(matrix, out / filename)
         manifest_lines.append(f"{name}={filename} {matrix.shape[0]} {matrix.shape[1]}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    cfg_lines = [f"variant={params.variant}"] + [
-        f"{f.name}={format_value(getattr(params.cfg, f.name))}" for f in fields(ModelConfig)
-    ]
-    (out / "model.cfg").write_text("\n".join(sorted(cfg_lines)) + "\n", encoding="utf-8")
+    write_resolved({"variant": params.variant, **asdict(params.cfg)}, out / "model.cfg")
 
 
 def load_params(directory) -> ModelParams:
     """Load a checkpoint written by :func:`save_params`; bit-exact round trip."""
     root = Path(directory)
     cfg_path = root / "model.cfg"
-    if not cfg_path.exists():
-        raise FormatError(f"missing model.cfg in {root}", offset=0)
-    entries = {}
-    for line in cfg_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        entries[key] = value
+    raw = read_config_file(cfg_path)  # its errors name the file and line
     try:
-        variant = entries["variant"]
-        cfg = ModelConfig(**{f.name: PARSERS[f.type](entries[f.name]) for f in fields(ModelConfig)})
-    except KeyError as exc:
-        raise FormatError(f"model.cfg missing key {exc}", offset=0) from exc
-    except ValueError as exc:
-        raise FormatError(f"model.cfg: {exc}", offset=0) from exc
+        entries = resolve(raw, _CFG_SCHEMA)
+        variant = entries.pop("variant")
+        cfg = ModelConfig(**entries)
+    except (UsageError, DegenerateInput) as exc:
+        raise FormatError(f"{cfg_path}: {exc}", offset=0) from None
     if variant not in VARIANTS:
-        raise FormatError(f"model.cfg: unknown variant {variant!r}", offset=0)
+        raise FormatError(f"{cfg_path}: unknown variant {variant!r}", offset=0)
 
-    manifest_path = root / "manifest.txt"
-    if not manifest_path.exists():
-        raise FormatError(f"missing manifest.txt in {root}", offset=0)
     expected = expected_tensors(cfg, variant)
     tensors = {}
-    text = manifest_path.read_text(encoding="utf-8")
+    text = read_text(root / "manifest.txt")
     resolved_root = root.resolve()
     offset = 0
     for line in text.splitlines():

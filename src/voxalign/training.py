@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import LayerStack
+from .config import check_fields, setting
 from .data import Dataset, fuse_targets, split_regions
 from .errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch, UsageError
 # mg_loss and mse_loss are not called here; perfbench/spans.py traces them in this module.
@@ -56,44 +57,27 @@ class TrainConfig:
     (used by the layer scan to remove all final-layer information).
     """
 
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    epochs: int = setting(200, low=1)
+    batch_size: int = setting(32, low=1)
+    learning_rate: float = setting(3e-4, low=0.0)
+    beta1: float = setting(0.9, low=0.0, below=1.0)
+    beta2: float = setting(0.999, low=0.0, below=1.0)
+    epsilon: float = setting(1e-8, above=0.0)
     seed: int = 0
-    weight_cka: float = 1.0
-    weight_sims: float = 1.0
-    weight_crec: float = 1.0
-    anchor_mode: str = "own_first_token"
+    weight_cka: float = setting(1.0, low=0.0)
+    weight_sims: float = setting(1.0, low=0.0)
+    weight_crec: float = setting(1.0, low=0.0)
+    anchor_mode: str = setting("own_first_token", choices=ANCHOR_MODES)
     detail_layer_lo: int = None
     detail_layer_hi: int = None
     semantic_target_from_final: bool = True
     separate_branches: bool = False
-    text_batch_size: int = None
-    image_batch_size: int = None
-    eval_similarity: str = "pearson"
+    text_batch_size: int = setting(None, low=1)
+    image_batch_size: int = setting(None, low=1)
+    eval_similarity: str = setting("pearson", choices=("pearson", "cosine"))
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DegenerateInput("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise DegenerateInput("batch_size must be >= 1")
-        for name in ("text_batch_size", "image_batch_size"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise DegenerateInput(f"{name} must be >= 1 when set")
-        if self.learning_rate < 0.0:
-            raise DegenerateInput("learning_rate must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise DegenerateInput(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not self.epsilon > 0.0:
-            raise DegenerateInput(f"epsilon must be > 0, got {self.epsilon!r}")
-        if self.anchor_mode not in ANCHOR_MODES:
-            raise DegenerateInput(f"anchor_mode must be one of {ANCHOR_MODES}")
-        if self.eval_similarity not in ("pearson", "cosine"):
-            raise DegenerateInput("eval_similarity must be 'pearson' or 'cosine'")
+        check_fields(self)
         if (self.detail_layer_lo is None) != (self.detail_layer_hi is None):
             raise DegenerateInput(
                 "detail_layer_lo and detail_layer_hi must be set together"

@@ -98,6 +98,21 @@ class TestGenData:
         assert f"error: config key '{key}': expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("damage,detail", [
+        ("not_utf8", "not UTF-8 text"),
+        ("directory", "cannot read (Is a directory)"),
+    ])
+    def test_unreadable_config_file_named_exit_2(self, tmp_path, capsys, damage, detail):
+        cfg = tmp_path / "gen.cfg"
+        if damage == "not_utf8":
+            cfg.write_bytes(b"\xff\xfe" + SMALL_GEN.encode())
+        else:
+            cfg.mkdir()
+        code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert f"error: {cfg}: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nonempty_out_requires_force(self, workspace):
         code = main(["gen-data", "--config", str(workspace / "gen.cfg"),
                      "--out", str(workspace / "data"), "--quiet"])
@@ -185,15 +200,21 @@ class TestTrain:
     @pytest.mark.parametrize("line,message", [
         ("learning_rate=nan", "config key 'learning_rate': expected a finite number, got 'nan'"),
         ("weight_cka=-inf", "config key 'weight_cka': expected a finite number, got '-inf'"),
-        ("text_batch_size=-5", "text_batch_size must be >= 1 when set"),
-        ("image_batch_size=0", "image_batch_size must be >= 1 when set"),
+        ("text_batch_size=-5", "text_batch_size must be >= 1, got -5"),
+        ("image_batch_size=0", "image_batch_size must be >= 1, got 0"),
         ("beta1=1.0", "beta1 must lie in [0, 1), got 1.0"),
         ("beta2=-0.1", "beta2 must lie in [0, 1), got -0.1"),
         ("epsilon=0", "epsilon must be > 0, got 0.0"),
+        ("weight_cka=-3", "weight_cka must be >= 0, got -3.0"),
+        ("weight_crec=-1", "weight_crec must be >= 0, got -1.0"),
+        ("dropout_codec=1.0", "dropout_codec must lie in [0, 1), got 1.0"),
+        ("latent_dim=0", "latent_dim must be >= 1, got 0"),
     ])
     def test_out_of_domain_setting_named_exit_2(self, workspace, tmp_path, capsys, line, message):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(SMALL_TRAIN + line + "\n")
+        key = line.split("=")[0]  # the case's line replaces a SMALL_TRAIN line of the same key
+        kept = [l for l in SMALL_TRAIN.splitlines() if not l.startswith(f"{key}=")]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
         code = main(["train", "--config", str(cfg), "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "run"), "--quiet"])
         assert code == 2
@@ -309,6 +330,36 @@ class TestEval:
         assert code == 2
         assert f"error: {ckpt / 'text.encoder.W.mat1'}: cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,line,bad,message", [
+        ("model.cfg", "dropout_codec=0.15", "dropout_codec=nan",
+         "config key 'dropout_codec': expected a finite number, got 'nan'"),
+        ("model.cfg", "latent_dim=24", "latent_dim=0", "latent_dim must be >= 1, got 0"),
+        ("targets.cfg", "eval_similarity=pearson", "eval_similarity=spearman",
+         "eval_similarity must be one of ('pearson', 'cosine'), got 'spearman'"),
+    ])
+    def test_bad_checkpoint_setting_named_exit_2(self, workspace, tmp_path, capsys, name, line, bad, message):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        path = ckpt / name
+        text = path.read_text()
+        assert line in text.splitlines()
+        path.write_text(text.replace(line, bad))
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "ev"), "--quiet"])
+        assert code == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_non_utf8_manifest_named_exit_2(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        manifest = ckpt / "manifest.txt"
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "ev"), "--quiet"])
+        assert code == 2
+        assert f"error: {manifest}: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_2(self, workspace):
         code = main(["eval", "--ckpt", str(workspace / "nonexistent"),
                      "--data", str(workspace / "data"),
@@ -361,10 +412,11 @@ class TestAnalyze:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("lines,message", [
-        ("rsa_mode=ridge\nridge_lambda=-1", "config key 'ridge_lambda': must be >= 0, got -1.0"),
+        ("rsa_mode=ridge\nridge_lambda=-1", "ridge_lambda must be >= 0, got -1.0"),
         ("rsa_mode=ridge\nridge_lambda=nan", "config key 'ridge_lambda': expected a finite number"),
         ("rsa_mode=ridge\nridge_lambda=inf", "config key 'ridge_lambda': expected a finite number"),
-        ("rsa_mode=lasso", "config key 'rsa_mode': expected 'raw' or 'ridge', got 'lasso'"),
+        ("rsa_mode=lasso", "rsa_mode must be one of ('raw', 'ridge'), got 'lasso'"),
+        ("scan_epochs=0", "scan_epochs must be >= 1, got 0"),
     ])
     def test_bad_rsa_setting_named_exit_2(self, workspace, tmp_path, capsys, lines, message):
         cfg = tmp_path / "rsa.cfg"
@@ -430,7 +482,8 @@ class TestBackproject:
                      "--data", str(workspace / "data"), "--lambda", value,
                      "--out", str(tmp_path / "bp"), "--quiet"])
         assert code == 2
-        assert "error: --lambda must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda") and err.endswith(f", got {float(value)!r}\n")
         assert not (tmp_path / "bp").exists()
 
 

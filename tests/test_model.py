@@ -362,7 +362,9 @@ class TestCheckpoint:
         assert loaded.variant == "text_only"
         assert not any(n.startswith("image.") for n in loaded.tensors)
 
-    @pytest.mark.parametrize("line, bad", [("latent_dim=2", "latent_dim=two"), ("variant=full", "variant=bogus")])
+    @pytest.mark.parametrize("line, bad", [
+        ("latent_dim=2", "latent_dim=two"), ("variant=full", "variant=bogus"), ("latent_dim=2", ""),
+    ])
     def test_malformed_model_cfg_rejected(self, tmp_path, line, bad):
         save_params(init_params(TINY, Rng(39, "i")), tmp_path / "ckpt")
         cfg = tmp_path / "ckpt" / "model.cfg"
