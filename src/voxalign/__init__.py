@@ -73,7 +73,7 @@ from .model import (
     text_branch_backward,
     text_branch_forward,
 )
-from .optim import AdamState, adam_step
+from .optim import adam_step
 from .rng import Rng
 from .training import (
     TrainConfig,

@@ -136,10 +136,10 @@ def read_config_file(path) -> dict:
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise UsageError(f"{p}:{lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{p}: line {lineno}: expected key=value, got {line!r}")
         key = key.strip()
         if key in raw:
-            raise UsageError(f"{p}:{lineno}: duplicate key {key!r}")
+            raise UsageError(f"{p}: line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from ._arrays import as_matrix
 from .alignment import LayerStack
-from .config import check_fields, format_value, read_text, setting
-from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch
+from .config import check_fields, format_value, read_config_file, read_text, setting
+from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch, UsageError
 from .matio import load_matrix, save_matrix
 from .rng import Rng
 
@@ -324,11 +324,10 @@ _META_INTEGERS = ("n_train", "n_test", "text_tokens", "text_dim", "image_tokens"
 
 def _read_meta(path: Path) -> dict:
     """The ``key=value`` lines of a meta.txt, which must give every key the library reads."""
-    meta = {}
-    for line in read_text(path).splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            meta[key] = value
+    try:
+        meta = read_config_file(path)  # its errors name the file and line
+    except UsageError as exc:
+        raise FormatError(str(exc), offset=0) from None
     for key in _META_INTEGERS:
         if key not in meta:
             raise FormatError(f"{path}: missing key {key!r}", offset=0)

@@ -403,63 +403,78 @@ def image_branch_forward(
 
 
 def _layer_backward(caches, key, g_y, train):
-    """Weight, bias and pre-activation gradients of one dropout-ReLU block."""
+    """Pre-activation gradient of one dropout-ReLU block."""
     cache = caches[key]
     if train:
         mask = cache["mask"]
         if mask is None:
             raise InvalidState(f"train-mode backward without recorded mask for {key!r}")
-        g_dropped = g_y * mask
-    else:
-        g_dropped = g_y
-    g_z = g_dropped * (cache["z"] > 0.0)
-    return cache["x"].T @ g_z, g_z.sum(axis=0), g_z
+        g_z = g_y * mask
+        np.multiply(g_z, cache["z"] > 0.0, out=g_z)
+        return g_z
+    return g_y * (cache["z"] > 0.0)
 
 
-def _backward(branch, paths, params: ModelParams, fwd, upstream: dict) -> dict:
-    """Accumulate a branch's parameter gradients from upstream output grads.
+def _backward(branch, paths, params: ModelParams, fwd, upstream: dict, out=None) -> dict:
+    """Write a branch's parameter gradients from upstream output grads.
 
     ``upstream`` maps forward-result field names to gradients; None
     contributes nothing, and a gradient for an absent output is an error.
+    The gradients are written into ``out`` (tensor name -> array of the
+    tensor's shape, for example views into one flat buffer) or, when it is
+    None, into fresh arrays. A tensor's first contribution is written in
+    place of its old contents, later ones are added, and a tensor with no
+    contribution is zeroed. Returns the branch's gradients.
     """
     t = params.tensors
     caches = fwd.caches
     train = caches["mode"] == "train"
-    grads = {k: np.zeros_like(v) for k, v in t.items() if k.startswith(branch + ".")}
+    names = [k for k in t if k.startswith(branch + ".")]
+    if out is None:
+        out = {k: np.empty_like(t[k]) for k in names}
+    grads = {k: out[k] for k in names}
+    written = set()
     g_acts = {}
     for name, g in upstream.items():
         if g is None:
             continue
-        out = getattr(fwd, name)
-        if out is None:
+        output = getattr(fwd, name)
+        if output is None:
             raise InvalidState(f"gradient supplied for absent output {name!r}")
-        g_acts[name] = np.asarray(g, dtype=np.float64).reshape(out.shape[0], -1)
+        g_acts[name] = np.asarray(g, dtype=np.float64).reshape(output.shape[0], -1)
     for weight, bias, key, src, dst, kind, _, _ in _plan(branch, paths)[1]:
         g_y = g_acts.get(dst)
         if g_y is None:
             continue
-        if kind == "output":
-            g_w, g_b, g_z = caches[key]["x"].T @ g_y, g_y.sum(axis=0), g_y
+        g_z = g_y if kind == "output" else _layer_backward(caches, key, g_y, train)
+        x_t = caches[key]["x"].T
+        if weight in written:
+            grads[weight] += x_t @ g_z
+            grads[bias] += g_z.sum(axis=0)
         else:
-            g_w, g_b, g_z = _layer_backward(caches, key, g_y, train)
-        grads[weight] += g_w
-        grads[bias] += g_b
+            np.matmul(x_t, g_z, out=grads[weight])
+            np.sum(g_z, axis=0, out=grads[bias])
+            written.update((weight, bias))
         if kind == "encoder":
             continue  # voxel inputs need no gradient
         g_x = g_z @ t[weight].T
         if kind == "backbone":
-            g_x = g_x + g_y
+            g_x += g_y
         prev = g_acts.get(src)
         g_acts[src] = g_x if prev is None else prev + g_x
+    for name in names:
+        if name not in written:
+            grads[name].fill(0.0)
     return grads
 
 
 def text_branch_backward(
-    params: ModelParams, fwd: TextForward, grad_pred_emb, grad_recon_sem
+    params: ModelParams, fwd: TextForward, grad_pred_emb, grad_recon_sem, out: dict = None
 ) -> dict:
-    """Accumulate text-branch parameter gradients for the given upstream grads."""
+    """Text-branch parameter gradients for the given upstream grads,
+    written into ``out`` when given (see :func:`_backward`)."""
     upstream = {"pred_emb": grad_pred_emb, "recon_sem": grad_recon_sem}
-    return _backward("text", ("sem",), params, fwd, upstream)
+    return _backward("text", ("sem",), params, fwd, upstream, out)
 
 
 def image_branch_backward(
@@ -471,8 +486,10 @@ def image_branch_backward(
     grad_recon_det_cross=None,
     grad_recon_det_direct=None,
     grad_recon_sem_cross=None,
+    out: dict = None,
 ) -> dict:
-    """Accumulate image-branch parameter gradients.
+    """Image-branch parameter gradients, written into ``out`` when given
+    (see :func:`_backward`).
 
     Upstream gradients for absent outputs must be None; present outputs with
     a None upstream contribute nothing.
@@ -485,7 +502,7 @@ def image_branch_backward(
         "recon_det_direct": grad_recon_det_direct,
         "recon_sem_cross": grad_recon_sem_cross,
     }
-    return _backward("image", image_paths(params.variant), params, fwd, upstream)
+    return _backward("image", image_paths(params.variant), params, fwd, upstream, out)
 
 
 def collect_masks(caches: dict) -> dict:

@@ -39,7 +39,7 @@ from .model import (
     text_branch_backward,
     text_branch_forward,
 )
-from .optim import AdamState, adam_step
+from .optim import adam_step
 from .rng import Rng
 
 # TrainConfig fields that evaluate() reads; a checkpoint's targets.cfg keeps them.
@@ -266,6 +266,36 @@ def _val_components(params, cfg, text_targets, image_targets, voxels_sem, voxels
     return components
 
 
+def _flat_training_state(params: ModelParams):
+    """Move the parameters into one flat vector, their tensors becoming views.
+
+    The gradient and Adam's two moments are flat vectors of the same
+    layout, tensors in sorted-name order, so each branch (``image.*``, then
+    ``text.*``) is one slice. Returns the gradient views, keyed like
+    ``params.tensors``, and for each update (``joint``, ``text`` and
+    ``image``) its ``adam_step`` arguments: the four slices and their
+    ``(name, start, stop)`` layout.
+    """
+    layout, size = [], 0
+    for name in sorted(params.tensors):
+        start, size = size, size + params.tensors[name].size
+        layout.append((name, start, size))
+    flat_params = np.concatenate([params.tensors[name].ravel() for name, _, _ in layout])
+    flat_grads, m, v = np.empty(size), np.zeros(size), np.zeros(size)
+    spans = {name: slice(start, stop) for name, start, stop in layout}
+    shapes = {name: t.shape for name, t in params.tensors.items()}
+    params.tensors = {name: flat_params[spans[name]].reshape(shape) for name, shape in shapes.items()}
+    grads = {name: flat_grads[spans[name]].reshape(shape) for name, shape in shapes.items()}
+    updates = {}
+    for key in ("joint", "text", "image"):
+        entries = [entry for entry in layout if key == "joint" or entry[0].startswith(key + ".")]
+        if entries:
+            lo, hi = entries[0][1], entries[-1][2]
+            relative = tuple((name, start - lo, stop - lo) for name, start, stop in entries)
+            updates[key] = (*(a[lo:hi] for a in (flat_params, flat_grads, m, v)), relative)
+    return grads, updates
+
+
 def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: str = "full"):
     """Fit a model variant; returns final parameters and the epoch report."""
     start = time.perf_counter()
@@ -287,7 +317,7 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
 
     rng = Rng(cfg.seed, "train")
     params = init_params(model_cfg, rng.child("init"), variant)
-    state = AdamState.zeros(params.tensors)
+    grads, updates = _flat_training_state(params)
     step_counts = {}
     history = []
 
@@ -296,8 +326,8 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
         means, (g_pred, g_recon) = _text_batch_loss(
             text_targets[tr][batch_idx], fwd, voxels_sem[tr][batch_idx], cfg, True, where
         )
-        grads = text_branch_backward(params, fwd, g_pred, g_recon)
-        return means, grads
+        text_branch_backward(params, fwd, g_pred, g_recon, out=grads)
+        return means
 
     def _train_image(batch_idx, batch_rng, where):
         fwd = image_branch_forward(
@@ -307,25 +337,19 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
         means, out_grads = _image_batch_loss(
             batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], cfg, True, where
         )
-        return means, image_branch_backward(params, fwd, **out_grads)
+        image_branch_backward(params, fwd, **out_grads, out=grads)
+        return means
 
-    def _apply(grads, counter: str, where: str):
-        # Joint training shares one step count; separate-branch loops keep
-        # their own so Adam's bias correction matches each loop's history.
-        step_counts[counter] = step_counts.get(counter, 0) + 1
-        subset = {name: params.tensors[name] for name in grads}
-        sub_state = AdamState(
-            m={name: state.m[name] for name in grads},
-            v={name: state.v[name] for name in grads},
-        )
+    def _apply(key: str, where: str):
+        # Joint training updates both branches with one step count;
+        # separate-branch loops keep their own so Adam's bias correction
+        # matches each loop's history.
+        step_counts[key] = step_counts.get(key, 0) + 1
         with _labelled(where):
-            new_tensors, new_state = adam_step(
-                subset, grads, sub_state, step_counts[counter],
+            adam_step(
+                *updates[key], step_counts[key],
                 cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
             )
-        params.tensors = {**params.tensors, **new_tensors}
-        state.m.update(new_state.m)
-        state.v.update(new_state.v)
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_sums = {}
@@ -342,31 +366,27 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
                 idx = perm[lo_i : lo_i + cfg.batch_size]
                 batch_rng = rng.child(f"masks/{epoch}/{b}")
                 where = f"epoch {epoch}, batch {b}"
-                text_means, grads = _train_text(idx, batch_rng.child("text"), where)
+                text_means = _train_text(idx, batch_rng.child("text"), where)
                 if paths:
-                    image_means, image_grads = _train_image(idx, batch_rng.child("image"), where)
-                    grads.update(image_grads)
-                    _accumulate(image_means, len(idx))
+                    _accumulate(_train_image(idx, batch_rng.child("image"), where), len(idx))
                 _accumulate(text_means, len(idx))
-                _apply(grads, "joint", where)
+                _apply("joint", where)
         else:
             text_bs = cfg.text_batch_size or cfg.batch_size
             perm = rng.child(f"shuffle-text/{epoch}").permutation(n_train)
             for b, lo_i in enumerate(range(0, n_train, text_bs)):
                 idx = perm[lo_i : lo_i + text_bs]
                 where = f"epoch {epoch}, text loop batch {b}"
-                means, grads = _train_text(idx, rng.child(f"masks-text/{epoch}/{b}"), where)
-                _accumulate(means, len(idx))
-                _apply(grads, "text", where)
+                _accumulate(_train_text(idx, rng.child(f"masks-text/{epoch}/{b}"), where), len(idx))
+                _apply("text", where)
             if paths:
                 image_bs = cfg.image_batch_size or cfg.batch_size
                 perm = rng.child(f"shuffle-image/{epoch}").permutation(n_train)
                 for b, lo_i in enumerate(range(0, n_train, image_bs)):
                     idx = perm[lo_i : lo_i + image_bs]
                     where = f"epoch {epoch}, image loop batch {b}"
-                    means, grads = _train_image(idx, rng.child(f"masks-image/{epoch}/{b}"), where)
-                    _accumulate(means, len(idx))
-                    _apply(grads, "image", where)
+                    _accumulate(_train_image(idx, rng.child(f"masks-image/{epoch}/{b}"), where), len(idx))
+                    _apply("image", where)
 
         train_components = {k: epoch_sums[k] / epoch_counts[k] for k in sorted(epoch_sums)}
         val_components = _val_components(

@@ -252,6 +252,8 @@ class TestTrain:
         ("not_utf8", "meta.txt", "not UTF-8 text"),
         ("no_image_dim", "meta.txt", "missing key 'image_dim'"),
         ("bad_n_train", "meta.txt", "n_train='x' is not an integer"),
+        ("dup_n_train", "meta.txt", "line {last}: duplicate key 'n_train'"),
+        ("no_equals", "meta.txt", "line {last}: expected key=value, got 'garbage line'"),
         ("extra_caption", "captions/3/extra.mat1", "expected a file named <number>.mat1"),
     ])
     def test_malformed_meta_or_caption_named_exit_2(self, workspace, tmp_path, capsys, damage, named, detail):
@@ -264,7 +266,10 @@ class TestTrain:
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(l for l in lines if not l.startswith("image_dim=")))
         elif damage == "bad_n_train":
-            path.write_text(path.read_text() + "n_train=x\n")
+            path.write_text(re.sub(r"(?m)^n_train=.*$", "n_train=x", path.read_text()))
+        elif damage in ("dup_n_train", "no_equals"):
+            path.write_text(path.read_text() + ("n_train=7\n" if damage == "dup_n_train" else "garbage line\n"))
+            detail = detail.format(last=len(path.read_text().splitlines()))
         else:
             shutil.copy(data / "captions" / "3" / "0.mat1", path)
         code = main(["train", "--config", str(workspace / "train.cfg"), "--data", str(data),

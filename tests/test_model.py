@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import model_reference
 from voxalign.errors import DegenerateInput, FormatError, InvalidState, ShapeMismatch
 from voxalign.losses import image_total_loss
 from voxalign.model import (
     ModelConfig,
+    VARIANTS,
     ModelParams,
     collect_masks,
     desk_config,
@@ -293,6 +295,77 @@ class TestModelBackward:
                 denom = max(abs(analytic), abs(numeric), 1e-8)
                 assert abs(analytic - numeric) / denom < 1e-4, (name, idx)
                 it.iternext()
+
+
+class TestBackwardIntoBuffer:
+    # Batches of one row as well as several: a one-row product may take
+    # another BLAS path than a matrix one.
+    CFG = ModelConfig(6, 9, 5, 2, 3, 2, 3, dropout_codec=0.3, dropout_backbone=0.5)
+
+    def _case(self, variant, seed, train):
+        rng = Rng(seed, "buffer")
+        params = init_params(self.CFG, rng.child("init"), variant)
+        n = (1, 4, 1, 2)[seed % 4]
+        x_s = rng.child("xs").normal(n, 6)
+        x_d = rng.child("xd").normal(n, 9)
+        masks_rng = rng.child("masks") if train else None
+        cases = [("text", text_branch_forward(x_s, params, rng=masks_rng))]
+        if variant != "text_only":
+            cases.append(("image", image_branch_forward(x_s, x_d, params, rng=masks_rng)))
+        return rng, params, cases
+
+    @staticmethod
+    def _upstream(rng, branch, fwd, partial):
+        names = ("pred_emb", "recon_sem") if branch == "text" else (
+            "pred_sem_emb", "pred_det_emb", "recon_sem_direct", "recon_det_cross",
+            "recon_det_direct", "recon_sem_cross",
+        )
+        upstream = {}
+        for name in names:
+            out = getattr(fwd, name)
+            skip = out is None or (partial and name.startswith("recon"))
+            upstream[name] = None if skip else rng.child(f"g/{name}").normal(*out.shape)
+        return upstream
+
+    @staticmethod
+    def _call(branch, params, fwd, upstream, out=None):
+        if branch == "text":
+            return text_branch_backward(params, fwd, upstream["pred_emb"], upstream["recon_sem"], out=out)
+        return image_branch_backward(params, fwd, **{f"grad_{k}": v for k, v in upstream.items()}, out=out)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_nan_filled_buffer_matches_accumulating_reference(self, variant, train, partial):
+        for seed in range(4):
+            rng, params, cases = self._case(variant, seed, train)
+            for branch, fwd in cases:
+                upstream = self._upstream(rng, branch, fwd, partial)
+                buffer = {name: np.full(t.shape, np.nan) for name, t in params.tensors.items()}
+                got = self._call(branch, params, fwd, upstream, out=buffer)
+                expected = model_reference.backward(branch, params, fwd, upstream)
+                assert list(got) == list(expected)
+                for name, g in expected.items():
+                    assert got[name] is buffer[name]
+                    assert g.tobytes() == buffer[name].tobytes(), (variant, seed, branch, name)
+                for name, b in buffer.items():
+                    if name not in expected:
+                        assert np.isnan(b).all()  # the other branch is left alone
+
+    @pytest.mark.parametrize("variant", ["full", "text_only"])
+    def test_without_buffer_returns_fresh_arrays(self, variant):
+        rng, params, cases = self._case(variant, 0, True)
+        for branch, fwd in cases:
+            upstream = self._upstream(rng, branch, fwd, False)
+            first = self._call(branch, params, fwd, upstream)
+            second = self._call(branch, params, fwd, upstream)
+            expected = model_reference.backward(branch, params, fwd, upstream)
+            assert list(first) == list(expected)
+            for name, g in expected.items():
+                assert first[name].shape == params.tensors[name].shape
+                assert first[name].tobytes() == g.tobytes()
+                assert not np.shares_memory(first[name], second[name])
+                assert not np.shares_memory(first[name], params.tensors[name])
 
 
 class TestParamCount:

@@ -6,7 +6,7 @@ import pytest
 import loss_reference as ref
 from voxalign import training
 from voxalign.data import SynthConfig, split_regions, synth_generate
-from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
+from voxalign.errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch
 from voxalign.model import (
     ModelConfig,
     image_branch_forward,
@@ -123,6 +123,69 @@ class TestTrainBasics:
         _, a = train(ds, cfg, tc)
         _, b = train(ds, cfg, tc)
         assert report_fingerprint(a) == report_fingerprint(b)
+
+
+class TestTracedCalls:
+    """Training looks ``adam_step`` and the branch backwards up in its own
+    module globals, once per optimiser step and once per branch batch; the
+    benchmark's tracer counts steps and backward time there."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"adam_step": 0, "text_branch_backward": 0, "image_branch_backward": 0}
+        for name in calls:
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        return calls
+
+    def test_separate_branch_text_detail(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        tc = small_train(epochs=2, separate_branches=True, text_batch_size=16, image_batch_size=20)
+        train(small_dataset(), small_model(), tc, variant="text_detail")
+        text_batches, image_batches = 2 * 3, 2 * 3  # 48 samples: 16+16+16 and 20+20+8
+        assert calls == {
+            "adam_step": text_batches + image_batches,
+            "text_branch_backward": text_batches,
+            "image_branch_backward": image_batches,
+        }
+
+    def test_joint_full(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        train(small_dataset(), small_model(), small_train(epochs=2), variant="full")
+        steps = 2 * 3  # 48 samples in batches of 16
+        assert calls == {"adam_step": steps, "text_branch_backward": steps, "image_branch_backward": steps}
+
+
+class TestAdamFailure:
+    """A non-finite gradient stops training naming the epoch, batch and tensor."""
+
+    @staticmethod
+    def _poison(monkeypatch, names):
+        backward = training.image_branch_backward
+
+        def poisoned(*args, out=None, **kwargs):
+            grads = backward(*args, out=out, **kwargs)
+            for name in names:
+                out[name].flat[-1] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "image_branch_backward", poisoned)
+
+    def test_nan_gradient_names_tensor(self, monkeypatch):
+        self._poison(monkeypatch, ["image.decoder_det.W"])
+        with pytest.raises(NumericalFailure, match=r"^epoch 1, batch 0: non-finite gradient for tensor 'image.decoder_det.W'$"):
+            train(small_dataset(), small_model(), small_train(), variant="text_detail")
+
+    def test_first_failing_tensor_in_buffer_order_is_named(self, monkeypatch):
+        # The flat buffer holds image.* before text.*, in sorted-name order.
+        self._poison(monkeypatch, ["text.output.W", "image.output.b", "image.backbone1.W"])
+        with pytest.raises(NumericalFailure, match=r"tensor 'image.backbone1.W'$"):
+            train(small_dataset(), small_model(), small_train(), variant="full")
 
 
 class TestBatchedLossMatchesReference:
