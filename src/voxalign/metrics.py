@@ -11,6 +11,7 @@ from .linalg import pearson
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+SIMILARITIES = ("pearson", "cosine")
 
 
 def pixcorr(a, b) -> float:
@@ -89,8 +90,8 @@ def two_way_identification(preds, truths, similarity: str = "pearson") -> float:
     ``sim(pred_i, truth_i) > sim(pred_i, truth_j)``; exact ties count one
     half. Chance level is 50.
     """
-    if similarity not in ("pearson", "cosine"):
-        raise ValueError(f"similarity must be 'pearson' or 'cosine', got {similarity!r}")
+    if similarity not in SIMILARITIES:
+        raise ValueError(f"similarity must be one of {SIMILARITIES}, got {similarity!r}")
     p = as_matrix(preds, "preds")
     t = as_matrix(truths, "truths")
     if p.shape != t.shape:

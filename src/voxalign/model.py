@@ -368,10 +368,14 @@ def text_branch_forward(
     return TextForward(code=acts["code"], recon_sem=acts["recon_sem"], pred_emb=pred, caches=caches)
 
 
-_IMAGE_CODES_AND_RECONS = (
-    "code_sem", "code_det", "recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross",
-)
+IMAGE_RECONS = ("recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross")
 _IMAGE_PREDS = ("pred_sem_emb", "pred_det_emb")
+_IMAGE_CODES_AND_RECONS = ("code_sem", "code_det", *IMAGE_RECONS)
+
+# The outputs of each branch forward that its loss scores, predictions
+# first; a non-finite check names the first bad one in this order. Their
+# loss gradients are the branch backward's ``grad_<output>`` keywords.
+SCORED_OUTPUTS = {"text": ("pred_emb", "recon_sem"), "image": (*_IMAGE_PREDS, *IMAGE_RECONS)}
 
 
 def image_branch_forward(
@@ -552,33 +556,38 @@ def load_params(directory) -> ModelParams:
 
     expected = expected_tensors(cfg, variant)
     tensors = {}
-    text = read_text(root / "manifest.txt")
+    manifest = root / "manifest.txt"
+    text = read_text(manifest)
     resolved_root = root.resolve()
     offset = 0
+
+    def fail(message: str) -> FormatError:
+        return FormatError(f"{manifest}: {message}", offset=offset)
+
     for line in text.splitlines():
         if line.strip():
             try:
                 name, rest = line.split("=", 1)
                 filename, rows, cols = rest.split(" ")
                 rows, cols = int(rows), int(cols)
+                resolved = (root / filename).resolve()  # ValueError on a NUL byte
             except ValueError:
-                raise FormatError(f"malformed manifest line {line!r}", offset=offset) from None
-            if not (root / filename).resolve().is_relative_to(resolved_root):
-                raise FormatError(
-                    f"manifest line {line!r} names a file outside {root}", offset=offset
-                )
+                raise fail(f"malformed manifest line {line!r}") from None
+            if name in tensors:
+                raise fail(f"manifest line {line!r} repeats tensor {name!r}")
+            if resolved.parent != resolved_root:
+                raise fail(f"manifest line {line!r} does not name a file in {root}")
             matrix = load_matrix(root / filename)
             if matrix.shape != (rows, cols):
-                raise FormatError(
-                    f"{filename}: stored shape {matrix.shape} disagrees with manifest "
-                    f"({rows}, {cols})",
-                    offset=offset,
-                )
+                raise fail(f"{filename}: stored shape {matrix.shape} disagrees with manifest ({rows}, {cols})")
             if name in expected and len(expected[name]) == 1:
                 if rows != 1:
-                    raise FormatError(f"{name}: bias must be stored 1 x n", offset=offset)
+                    raise fail(f"{name}: bias must be stored 1 x n")
                 tensors[name] = matrix[0]
             else:
                 tensors[name] = matrix
         offset += len(line) + 1
-    return ModelParams(cfg, variant, tensors)
+    try:
+        return ModelParams(cfg, variant, tensors)
+    except ShapeMismatch as exc:
+        raise FormatError(f"{manifest}: {exc}", offset=0) from None

@@ -2,9 +2,12 @@
 
 Training is single-threaded and bit-reproducible: shuffling, dropout and
 initialization all derive from the seed through labelled child streams.
-Both branches are updated jointly per step by default (their parameter
-sets are disjoint); ``separate_branches`` runs one loop per branch with
-its own batch size instead.
+Each epoch is one loop over update groups. By default one group steps
+both branches jointly (their parameter sets are disjoint);
+``separate_branches`` makes one group per branch, each with its own batch
+size, shuffle and Adam step count. Every batch of a group runs the same
+branch step for each of its branches (forward, one batched loss call,
+backward into the shared gradient buffer), then one Adam step.
 
 Per-sample token-level granularity: each sample's predicted embedding
 matrix is compared against its own target, and the batch loss is the mean
@@ -28,8 +31,9 @@ from .data import Dataset, fuse_targets, split_regions
 from .errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch, UsageError
 # mg_loss and mse_loss are not called here; perfbench/spans.py traces them in this module.
 from .losses import ANCHOR_MODES, image_total_loss, mg_loss, mse_loss, text_total_loss
-from .metrics import pixcorr, ssim, two_way_identification, SSIM_WINDOW
+from .metrics import SIMILARITIES, SSIM_WINDOW, pixcorr, ssim, two_way_identification
 from .model import (
+    SCORED_OUTPUTS,
     ModelConfig,
     ModelParams,
     image_branch_backward,
@@ -74,7 +78,7 @@ class TrainConfig:
     separate_branches: bool = False
     text_batch_size: int = setting(None, low=1)
     image_batch_size: int = setting(None, low=1)
-    eval_similarity: str = setting("pearson", choices=("pearson", "cosine"))
+    eval_similarity: str = setting("pearson", choices=SIMILARITIES)
 
     def __post_init__(self):
         check_fields(self)
@@ -174,96 +178,50 @@ def _labelled(where: str):
         raise NumericalFailure(f"{where}: {exc}") from exc
 
 
-def _text_batch_loss(text_targets, fwd, voxels_sem, cfg: TrainConfig, want_grads: bool, where: str):
-    """Mean text loss of a batch, scored by one batched loss call.
+def _batch_loss(branch: str, targets: tuple, fwd, voxels: tuple, cfg: TrainConfig, want_grads: bool, where: str):
+    """Mean loss components of one branch's batch, scored by one batched loss call.
 
-    ``where`` (epoch, loop and batch) labels a numerical failure.
+    ``targets`` is ``(text,)`` for the text branch and ``(fused, sem, det)``
+    for the image branch, None for an absent path; ``voxels`` is
+    ``(sem, det)``. Each ``*value`` field of the loss result that is not
+    None becomes the component ``<branch>_<term>`` (``value`` is the
+    total), weighted by the ``weight_<term>`` setting where there is one.
+    With ``want_grads`` the gradients are keyed like the branch backward's
+    keywords. ``where`` (epoch, loop and batch) labels a numerical failure.
     """
-    _require_finite({"pred_emb": fwd.pred_emb, "recon_sem": fwd.recon_sem}, where)
-    with _labelled(where):
-        tl = text_total_loss(
-            text_targets,
-            fwd.pred_emb,
-            voxels_sem,
-            fwd.recon_sem,
-            anchor=cfg.anchor_mode,
-            weight_cka=cfg.weight_cka,
-            weight_sims=cfg.weight_sims,
-        )
-    n = fwd.pred_emb.shape[0]
-    values = {
-        "text_total": tl.value,
-        "text_mg": tl.mg_value,
-        "text_cka": cfg.weight_cka * tl.cka_value,
-        "text_sims": cfg.weight_sims * tl.sims_value,
-        "text_recon": tl.recon_value,
-    }
-    means = {k: _ordered_sum(v) / n for k, v in values.items()}
-    grads = (tl.grad_pred_emb / n, tl.grad_recon_sem / n) if want_grads else (None, None)
-    return means, grads
-
-
-_IMAGE_OUTPUTS = (
-    "pred_sem_emb", "pred_det_emb", "recon_sem_direct",
-    "recon_det_cross", "recon_det_direct", "recon_sem_cross",
-)
-
-
-def _image_batch_loss(targets, fwd, voxels_sem, voxels_det, cfg: TrainConfig, want_grads: bool, where: str):
-    """Mean image loss of a batch; ``targets`` is (fused, sem, det), None for an absent path.
-
-    Gradients are keyed like the ``image_branch_backward`` keywords.
-    """
-    fused_t, sem_t, det_t = targets
-    outputs = {name: getattr(fwd, name) for name in _IMAGE_OUTPUTS}
+    outputs = {name: getattr(fwd, name) for name in SCORED_OUTPUTS[branch]}
     _require_finite(outputs, where)
+    weights = dict(anchor=cfg.anchor_mode, weight_cka=cfg.weight_cka, weight_sims=cfg.weight_sims)
     with _labelled(where):
-        il = image_total_loss(
-            fused_t,
-            sem_emb_target=sem_t,
-            det_emb_target=det_t,
-            voxels_sem=voxels_sem,
-            voxels_det=voxels_det,
-            **outputs,
-            anchor=cfg.anchor_mode,
-            weight_cka=cfg.weight_cka,
-            weight_sims=cfg.weight_sims,
-            weight_crec=cfg.weight_crec,
-        )
-    n = fwd.pred_fused_emb.shape[0]
-    values = {
-        "image_total": il.value,
-        "image_mg": il.mg_value,
-        "image_cka": cfg.weight_cka * il.cka_value,
-        "image_sims": cfg.weight_sims * il.sims_value,
-        "image_crec": cfg.weight_crec * il.crec_value,
-        "image_sem_mse": il.sem_mse_value,
-        "image_det_mse": il.det_mse_value,
-    }
-    means = {k: _ordered_sum(v) / n for k, v in values.items() if v is not None}
+        if branch == "text":
+            loss = text_total_loss(*targets, outputs["pred_emb"], voxels[0], outputs["recon_sem"], **weights)
+        else:
+            fused, sem, det = targets
+            loss = image_total_loss(
+                fused, sem_emb_target=sem, det_emb_target=det, voxels_sem=voxels[0], voxels_det=voxels[1],
+                **outputs, **weights, weight_crec=cfg.weight_crec,
+            )
+    n = len(voxels[0])
+    means = {}
+    for name, value in vars(loss).items():
+        if name.endswith("value") and value is not None:
+            term = "total" if name == "value" else name.removesuffix("_value")
+            means[f"{branch}_{term}"] = _ordered_sum(getattr(cfg, f"weight_{term}", 1.0) * value) / n
     grads = {}
     if want_grads:
-        grads = {f"grad_{name}": getattr(il, f"grad_{name}") / n for name, out in outputs.items() if out is not None}
+        grads = {f"grad_{name}": getattr(loss, f"grad_{name}") / n for name, out in outputs.items() if out is not None}
     return means, grads
 
 
-def _rows(targets, rows):
-    return tuple(None if t is None else t[rows] for t in targets)
+def _rows(arrays: tuple, rows):
+    return tuple(None if a is None else a[rows] for a in arrays)
 
 
-def _val_components(params, cfg, text_targets, image_targets, voxels_sem, voxels_det, epoch):
-    components = {}
-    where = f"epoch {epoch}, validation"
-    tf = text_branch_forward(voxels_sem, params)
-    text_means, _ = _text_batch_loss(text_targets, tf, voxels_sem, cfg, False, where)
-    components.update(text_means)
-    if image_targets:
-        ifwd = image_branch_forward(voxels_sem, voxels_det, params)
-        image_means, _ = _image_batch_loss(
-            image_targets, ifwd, voxels_sem, voxels_det, cfg, False, where
-        )
-        components.update(image_means)
-    return components
+def _forward(branch: str, voxels: tuple, params: ModelParams, rng: Rng = None):
+    """Run one branch on the (semantic, detail) voxels; an `rng` selects training mode."""
+    if branch == "text":
+        return text_branch_forward(voxels[0], params, rng=rng)
+    return image_branch_forward(*voxels, params, rng=rng)
 
 
 def _flat_training_state(params: ModelParams):
@@ -303,96 +261,68 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
     paths = image_paths(variant)
     lo, hi = resolve_layer_range(cfg, dataset.layers)
 
-    voxels_sem, voxels_det = split_regions(dataset.voxels, dataset.mask)
-    text_targets = dataset.text_targets()
-    image_targets = None
+    # Targets and voxels per branch and split, in the shapes _batch_loss takes.
+    voxels = split_regions(dataset.voxels, dataset.mask)
+    branches = ("text", "image") if paths else ("text",)
+    targets = {"text": (dataset.text_targets(),)}
     if paths:
         by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
         active = {path: by_path[path] for path in paths}
-        image_targets = (effective_image_target(variant, by_path), active.get("sem"), active.get("det"))
-
-    tr = dataset.train_slice
-    te = dataset.test_slice
+        targets["image"] = (effective_image_target(variant, by_path), active.get("sem"), active.get("det"))
+    tr, te = dataset.train_slice, dataset.test_slice
+    train_voxels, val_voxels = _rows(voxels, tr), _rows(voxels, te)
+    train_targets = {branch: _rows(t, tr) for branch, t in targets.items()}
+    val_targets = {branch: _rows(t, te) for branch, t in targets.items()}
     n_train = dataset.n_train
 
     rng = Rng(cfg.seed, "train")
     params = init_params(model_cfg, rng.child("init"), variant)
     grads, updates = _flat_training_state(params)
-    step_counts = {}
+    # One update group steps both branches jointly, or each branch with its
+    # own batch size; each group keeps its own Adam step count, so the bias
+    # correction matches that group's history.
+    if cfg.separate_branches:
+        sizes = {"text": cfg.text_batch_size, "image": cfg.image_batch_size}
+        loops = [(branch, sizes[branch] or cfg.batch_size, (branch,)) for branch in branches]
+    else:
+        loops = [("joint", cfg.batch_size, branches)]
+    step_counts = dict.fromkeys(updates, 0)
     history = []
 
-    def _train_text(batch_idx, batch_rng, where):
-        fwd = text_branch_forward(voxels_sem[tr][batch_idx], params, rng=batch_rng)
-        means, (g_pred, g_recon) = _text_batch_loss(
-            text_targets[tr][batch_idx], fwd, voxels_sem[tr][batch_idx], cfg, True, where
-        )
-        text_branch_backward(params, fwd, g_pred, g_recon, out=grads)
-        return means
-
-    def _train_image(batch_idx, batch_rng, where):
-        fwd = image_branch_forward(
-            voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], params, rng=batch_rng
-        )
-        batch_targets = _rows(_rows(image_targets, tr), batch_idx)
-        means, out_grads = _image_batch_loss(
-            batch_targets, fwd, voxels_sem[tr][batch_idx], voxels_det[tr][batch_idx], cfg, True, where
-        )
-        image_branch_backward(params, fwd, **out_grads, out=grads)
-        return means
-
-    def _apply(key: str, where: str):
-        # Joint training updates both branches with one step count;
-        # separate-branch loops keep their own so Adam's bias correction
-        # matches each loop's history.
-        step_counts[key] = step_counts.get(key, 0) + 1
-        with _labelled(where):
-            adam_step(
-                *updates[key], step_counts[key],
-                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
-            )
-
     for epoch in range(1, cfg.epochs + 1):
-        epoch_sums = {}
-        epoch_counts = {}
+        epoch_sums = {}  # each group visits every training sample once per epoch
+        for key, batch_size, group in loops:
+            joint = key == "joint"
+            perm = rng.child(f"shuffle/{epoch}" if joint else f"shuffle-{key}/{epoch}").permutation(n_train)
+            for b, first in enumerate(range(0, n_train, batch_size)):
+                idx = perm[first : first + batch_size]
+                where = f"epoch {epoch}, batch {b}" if joint else f"epoch {epoch}, {key} loop batch {b}"
+                batch_voxels = _rows(train_voxels, idx)
+                for branch in group:
+                    masks = f"masks/{epoch}/{b}/{branch}" if joint else f"masks-{key}/{epoch}/{b}"
+                    fwd = _forward(branch, batch_voxels, params, rng=rng.child(masks))
+                    means, out_grads = _batch_loss(
+                        branch, _rows(train_targets[branch], idx), fwd, batch_voxels, cfg, True, where
+                    )
+                    backward = text_branch_backward if branch == "text" else image_branch_backward
+                    backward(params, fwd, **out_grads, out=grads)
+                    for name, value in means.items():
+                        epoch_sums[name] = epoch_sums.get(name, 0.0) + value * len(idx)
+                step_counts[key] += 1
+                with _labelled(where):
+                    adam_step(
+                        *updates[key], step_counts[key],
+                        cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon,
+                    )
 
-        def _accumulate(means, count):
-            for key, value in means.items():
-                epoch_sums[key] = epoch_sums.get(key, 0.0) + value * count
-                epoch_counts[key] = epoch_counts.get(key, 0) + count
-
-        if not cfg.separate_branches:
-            perm = rng.child(f"shuffle/{epoch}").permutation(n_train)
-            for b, lo_i in enumerate(range(0, n_train, cfg.batch_size)):
-                idx = perm[lo_i : lo_i + cfg.batch_size]
-                batch_rng = rng.child(f"masks/{epoch}/{b}")
-                where = f"epoch {epoch}, batch {b}"
-                text_means = _train_text(idx, batch_rng.child("text"), where)
-                if paths:
-                    _accumulate(_train_image(idx, batch_rng.child("image"), where), len(idx))
-                _accumulate(text_means, len(idx))
-                _apply("joint", where)
-        else:
-            text_bs = cfg.text_batch_size or cfg.batch_size
-            perm = rng.child(f"shuffle-text/{epoch}").permutation(n_train)
-            for b, lo_i in enumerate(range(0, n_train, text_bs)):
-                idx = perm[lo_i : lo_i + text_bs]
-                where = f"epoch {epoch}, text loop batch {b}"
-                _accumulate(_train_text(idx, rng.child(f"masks-text/{epoch}/{b}"), where), len(idx))
-                _apply("text", where)
-            if paths:
-                image_bs = cfg.image_batch_size or cfg.batch_size
-                perm = rng.child(f"shuffle-image/{epoch}").permutation(n_train)
-                for b, lo_i in enumerate(range(0, n_train, image_bs)):
-                    idx = perm[lo_i : lo_i + image_bs]
-                    where = f"epoch {epoch}, image loop batch {b}"
-                    _accumulate(_train_image(idx, rng.child(f"masks-image/{epoch}/{b}"), where), len(idx))
-                    _apply("image", where)
-
-        train_components = {k: epoch_sums[k] / epoch_counts[k] for k in sorted(epoch_sums)}
-        val_components = _val_components(
-            params, cfg, text_targets[te], image_targets and _rows(image_targets, te),
-            voxels_sem[te], voxels_det[te], epoch,
-        )
+        train_components = {k: epoch_sums[k] / n_train for k in sorted(epoch_sums)}
+        val_components = {}
+        for branch in branches:
+            fwd = _forward(branch, val_voxels, params)
+            means, _ = _batch_loss(
+                branch, val_targets[branch], fwd, val_voxels, cfg, False, f"epoch {epoch}, validation"
+            )
+            val_components.update(means)
         history.append({"epoch": epoch, "train": train_components, "val": val_components})
 
     total_key = "image_total" if paths else "text_total"
@@ -526,17 +456,8 @@ _JSON_KEYS = ("variant", "seed", "pixcorr", "ssim", "two_way_image", "two_way_te
 
 def metrics_report_json(variant, seed, metrics, loss_history_file) -> str:
     """Serialize the metrics report with a fixed key set, byte-stable."""
-    payload = {
-        "variant": variant,
-        "seed": seed,
-        "pixcorr": metrics.get("pixcorr"),
-        "ssim": metrics.get("ssim"),
-        "two_way_image": metrics.get("two_way_image"),
-        "two_way_text": metrics.get("two_way_text"),
-        "loss_history_file": loss_history_file,
-    }
-    assert set(payload) == set(_JSON_KEYS)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    given = {**metrics, "variant": variant, "seed": seed, "loss_history_file": loss_history_file}
+    return json.dumps({key: given.get(key) for key in _JSON_KEYS}, sort_keys=True, indent=2) + "\n"
 
 
 def write_loss_history_csv(report: TrainReport, path) -> None:

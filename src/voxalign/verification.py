@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import fuse_targets
 # grad_check is not called here; perfbench/spans.py traces it in this module.
 from .losses import (
     _central_differences,
@@ -38,6 +39,8 @@ from .losses import (
     text_total_loss,
 )
 from .model import (
+    IMAGE_RECONS,
+    SCORED_OUTPUTS,
     ModelConfig,
     collect_masks,
     image_branch_backward,
@@ -77,7 +80,6 @@ _LOSS_THRESHOLDS = {
     "image_total/pred_det": 1e-4,
     "image_total/recons": 1e-4,
 }
-_RECONS = ("recon_sem_direct", "recon_det_cross", "recon_det_direct", "recon_sem_cross")
 
 
 def _arg_check(loss, score, args: dict, name: str, field: str) -> float:
@@ -176,12 +178,12 @@ def _loss_checks(s: int) -> list:
         ("sims/target_first_token", sims_loss, _sims_values, {**pair, "anchor": "target_first_token"}, "pred", "grad"),
         ("cka", cka_loss, _cka_values, wide, "pred", "grad"),
         ("mg", mg_loss, _mg_values, pair, "pred", "grad"),
-        *[("crec", crec_loss, _crec_values, crec, r, f"grad_{r}") for r in _RECONS],
+        *[("crec", crec_loss, _crec_values, crec, r, f"grad_{r}") for r in IMAGE_RECONS],
         ("text_total/pred_emb", text_total_loss, _text_total_values, text, "text_pred", "grad_pred_emb"),
         ("text_total/recon", text_total_loss, _text_total_values, text, "recon_sem", "grad_recon_sem"),
         ("image_total/pred_sem", image_total_loss, _image_total_values, image, "pred_sem_emb", "grad_pred_sem_emb"),
         ("image_total/pred_det", image_total_loss, _image_total_values, image, "pred_det_emb", "grad_pred_det_emb"),
-        *[("image_total/recons", image_total_loss, _image_total_values, image, r, f"grad_{r}") for r in _RECONS],
+        *[("image_total/recons", image_total_loss, _image_total_values, image, r, f"grad_{r}") for r in IMAGE_RECONS],
     ]
 
 
@@ -277,24 +279,20 @@ def _forward(branch: str, params, voxels: tuple, **replay):
     return image_branch_forward(*voxels, params, **replay)
 
 
-# The outputs of each branch forward that its loss scores.
-_SCORED = {"text": ("pred_emb", "recon_sem"), "image": ("pred_sem_emb", "pred_det_emb", *_RECONS)}
-
-
 def _branch_loss(branch: str, fwds: list, voxels: tuple, targets: dict):
     """One batched loss call scoring a branch's forwards, each on the batch of one sample.
 
     The forwards' outputs are concatenated along the sample axis, and the
     voxels and targets repeated to match.
     """
-    out = {f: np.concatenate([getattr(fwd, f) for fwd in fwds]) for f in _SCORED[branch]}
+    out = {f: np.concatenate([getattr(fwd, f) for fwd in fwds]) for f in SCORED_OUTPUTS[branch]}
     vox = [np.repeat(v, len(fwds), axis=0) for v in voxels]
     tgt = {k: np.repeat(t, len(fwds), axis=0) for k, t in targets.items()}
     if branch == "text":
         return text_total_loss(tgt["text"], out["pred_emb"], vox[0], out["recon_sem"])
     return image_total_loss(
         tgt["fused"], out["pred_sem_emb"], out["pred_det_emb"], tgt["sem"], tgt["det"],
-        *vox, *(out[r] for r in _RECONS),
+        *vox, *(out[r] for r in IMAGE_RECONS),
     )
 
 
@@ -330,7 +328,7 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
         det_target = rng.child("det_target").normal(cfg.image_tokens, cfg.image_dim)
         targets = {
             "text": rng.child("text_target").normal(cfg.text_tokens, cfg.text_dim)[None],
-            "fused": (0.5 * (sem_target + det_target))[None],
+            "fused": fuse_targets(sem_target, det_target)[None],
             "sem": sem_target[None],
             "det": det_target[None],
         }

@@ -326,6 +326,24 @@ class TestEval:
         assert code == 2
         assert line in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,detail", [
+        ("image.backbone1.W=image.backbone2.W.mat1 24 24",
+         "manifest line 'image.backbone1.W=image.backbone2.W.mat1 24 24' repeats tensor 'image.backbone1.W'"),
+        ("garbage", "malformed manifest line 'garbage'"),
+        ("extra.W=. 1 1", "manifest line 'extra.W=. 1 1' does not name a file in"),
+        ("extra.W=a\x00b 1 1", "malformed manifest line 'extra.W=a\\x00b 1 1'"),
+    ])
+    def test_bad_manifest_line_named_exit_2(self, workspace, tmp_path, capsys, line, detail):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace / "run" / "checkpoint", ckpt)
+        manifest = ckpt / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "ev"), "--quiet"])
+        assert code == 2
+        assert f"error: {manifest}: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
     def test_missing_tensor_file_named_exit_2(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workspace / "run" / "checkpoint", ckpt)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import loss_reference as ref
+import training_reference
 from voxalign import training
 from voxalign.data import SynthConfig, split_regions, synth_generate
 from voxalign.errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch
 from voxalign.model import (
+    SCORED_OUTPUTS,
     ModelConfig,
     image_branch_forward,
     image_paths,
@@ -125,6 +127,25 @@ class TestTrainBasics:
         assert report_fingerprint(a) == report_fingerprint(b)
 
 
+class TestScheduleMatchesReference:
+    """One loop over update groups reproduces the two-loop schedule bit for bit."""
+
+    @pytest.mark.parametrize("variant,overrides", [
+        ("full", {}),
+        ("text_only", {}),
+        ("text_detail", dict(separate_branches=True, text_batch_size=16, image_batch_size=20)),
+        ("full", dict(separate_branches=True, text_batch_size=20, image_batch_size=12)),
+    ])
+    def test_parameters_and_history(self, variant, overrides):
+        ds, cfg, tc = small_dataset(), small_model(), small_train(**overrides)
+        params, report = train(ds, cfg, tc, variant=variant)
+        want_params, want_history = training_reference.train(ds, cfg, tc, variant=variant)
+        assert params.tensors.keys() == want_params.tensors.keys()
+        for name, tensor in want_params.tensors.items():
+            assert params.tensors[name].tobytes() == tensor.tobytes(), name
+        assert json.dumps(report.history) == json.dumps(want_history)
+
+
 class TestTracedCalls:
     """Training looks ``adam_step`` and the branch backwards up in its own
     module globals, once per optimiser step and once per branch batch; the
@@ -208,15 +229,15 @@ class TestBatchedLossMatchesReference:
 
     @pytest.mark.parametrize("overrides", [{}, dict(anchor_mode="target_first_token", weight_cka=0.5, weight_sims=2.0)])
     def test_text_batch(self, overrides):
-        ds, cfg, params, vox_sem, _, rows = self._setup("full", **overrides)
+        ds, cfg, params, vox_sem, vox_det, rows = self._setup("full", **overrides)
         fwd = text_branch_forward(vox_sem, params, rng=Rng(3, "masks"))
         targets = ds.text_targets()[rows]
-        means, (g_pred, g_recon) = training._text_batch_loss(targets, fwd, vox_sem, cfg, True, "test")
+        means, grads = training._batch_loss("text", (targets,), fwd, (vox_sem, vox_det), cfg, True, "test")
         want_means, (want_pred, want_recon) = ref.text_batch_loss(
             targets, fwd.pred_emb, fwd.recon_sem, vox_sem, cfg
         )
         self._same(means, want_means)
-        self._same({"pred": g_pred, "recon": g_recon}, {"pred": want_pred, "recon": want_recon})
+        self._same(grads, {"grad_pred_emb": want_pred, "grad_recon_sem": want_recon})
 
     @pytest.mark.parametrize("variant", ["full", "text_semantic", "text_detail"])
     @pytest.mark.parametrize(
@@ -233,8 +254,8 @@ class TestBatchedLossMatchesReference:
             by_path["det"][rows] if "det" in paths else None,
         )
         fwd = image_branch_forward(vox_sem, vox_det, params, rng=Rng(4, "masks"))
-        means, grads = training._image_batch_loss(targets, fwd, vox_sem, vox_det, cfg, True, "test")
-        args = {name: getattr(fwd, name) for name in training._IMAGE_OUTPUTS}
+        means, grads = training._batch_loss("image", targets, fwd, (vox_sem, vox_det), cfg, True, "test")
+        args = {name: getattr(fwd, name) for name in SCORED_OUTPUTS["image"]}
         args.update(
             fused_target=targets[0], sem_emb_target=targets[1], det_emb_target=targets[2],
             voxels_sem=vox_sem, voxels_det=vox_det,
