@@ -218,6 +218,31 @@ class ModelParams:
         )
 
 
+class _StackedParams(NamedTuple):
+    """Parameters in which one tensor holds K copies stacked on a new leading axis.
+
+    The finite-difference suite's private replay: passed in place of
+    :class:`ModelParams` to a branch forward with replay masks, it runs all
+    K copies in one forward. A weight is stacked as ``(K, a, b)`` and a
+    bias as ``(K, 1, b)`` (see :meth:`of`). Activations carry the stack axis
+    from the perturbed block onward, each recorded mask applies to every
+    slice, and the outputs come back with the stack axis flattened into
+    the sample rows (an output upstream of the perturbed block keeps its
+    unstacked rows). The fused prediction is not formed. :class:`ModelParams`
+    and every public shape check are untouched.
+    """
+
+    cfg: ModelConfig
+    variant: str
+    tensors: dict
+
+    @classmethod
+    def of(cls, params, name: str, stack: np.ndarray) -> "_StackedParams":
+        """`params` with tensor `name` replaced by the ``(K, *shape)`` `stack` of its copies."""
+        stacked = stack[:, None] if stack.ndim == 2 else stack
+        return cls(params.cfg, params.variant, {**params.tensors, name: stacked})
+
+
 def init_params(cfg: ModelConfig, rng: Rng, variant: str = "full") -> ModelParams:
     """Glorot-uniform weights, zero biases; one child stream per tensor."""
     tensors = {}
@@ -237,25 +262,29 @@ def param_count(cfg: ModelConfig, variant: str = "full") -> int:
 
 
 def _apply_layer(x, weight, bias, rate, rng, masks, key, caches, residual, train):
-    z = x @ weight + bias
-    activated = np.maximum(z, 0.0)
+    z = x @ weight
+    if bias.ndim > z.ndim:  # a stacked bias on an unstacked input (_StackedParams)
+        z = z + bias
+    else:
+        z += bias
+    y = np.maximum(z, 0.0)
     mask = None
     if train:
         if masks is not None:
             if key not in masks:
                 raise InvalidState(f"missing dropout mask for {key!r}")
             mask = masks[key]
-            if mask.shape != activated.shape:
+            # One mask per (n, width) slice; public callers' activations are 2-D.
+            if mask.shape != y.shape[-2:]:
                 raise ShapeMismatch(
-                    f"mask for {key!r} has shape {mask.shape}, expected {activated.shape}"
+                    f"mask for {key!r} has shape {mask.shape}, expected {y.shape[-2:]}"
                 )
         else:
-            keep = rng.random(*activated.shape) >= rate
-            mask = keep.astype(np.float64) / (1.0 - rate)
-        dropped = activated * mask
-    else:
-        dropped = activated
-    y = x + dropped if residual else dropped
+            keep = rng.random(*y.shape) >= rate
+            mask = np.divide(keep, 1.0 - rate)
+        y *= mask
+    if residual:
+        y += x
     caches[key] = {"x": x, "z": z, "mask": mask}
     return y
 
@@ -355,6 +384,8 @@ def _forward(branch, paths, params: ModelParams, voxels: dict, rng, masks):
                 x, t[weight], t[bias], rates[kind], rng, masks, key, caches,
                 residual=kind == "backbone", train=train,
             )
+    if isinstance(params, _StackedParams):
+        acts = {name: a.reshape(-1, a.shape[-1]) for name, a in acts.items()}
     return acts, caches
 
 
@@ -401,7 +432,7 @@ def image_branch_forward(
         **{name: acts.get(name) for name in _IMAGE_CODES_AND_RECONS},
         pred_sem_emb=preds.get("pred_sem_emb"),
         pred_det_emb=preds.get("pred_det_emb"),
-        pred_fused_emb=fuse_targets(*preds.values()),
+        pred_fused_emb=None if isinstance(params, _StackedParams) else fuse_targets(*preds.values()),
         caches=caches,
     )
 

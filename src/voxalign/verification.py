@@ -9,9 +9,10 @@ Both suites run the one central-difference loop behind
 :func:`~voxalign.losses.grad_check`, which stacks the 2·size perturbed
 points of a check and scores them in one call. A loss-suite check scores
 its stack with one batched loss call and takes its analytic gradient from
-the public single-sample function. The model suite runs one replayed
-forward per perturbed point of a parameter tensor and scores the tensor's
-stack of forwards with one batched loss call.
+the public single-sample function. The model suite replays each
+parameter tensor's whole stack of perturbed points in one forward, with
+the stack as a leading axis of that tensor, and scores the stacked
+outputs with one batched loss call.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import (
     IMAGE_RECONS,
     SCORED_OUTPUTS,
     ModelConfig,
+    _StackedParams,
     collect_masks,
     image_branch_backward,
     image_branch_forward,
@@ -213,26 +215,19 @@ def _tiny_config() -> ModelConfig:
 def _max_param_error(params, grads: dict, forward, score, h: float = FD_STEP) -> float:
     """Worst relative error of `grads` over every entry of the tensors it names.
 
-    Each perturbed copy of a tensor is swapped into ``params.tensors`` while
-    ``forward()`` runs the model; the original goes back afterwards, also
-    when a forward raises. ``score(forwards)`` then scores the forwards of
-    all the tensor's perturbed points in one call.
+    All perturbed copies of a tensor run in one forward: ``forward(stacked)``
+    gets a :class:`~voxalign.model._StackedParams` whose tensor ``name`` is the
+    whole ``(K, *shape)`` stack of perturbed points (a bias as ``(K, 1, b)``),
+    and ``score(fwd, K)`` returns the K values of that forward. ``params`` is
+    never modified.
     """
     worst = 0.0
     for name in sorted(grads):
-        original = params.tensors[name]
 
         def values_at(stack):
-            forwards = []
-            try:
-                for point in stack:
-                    params.tensors[name] = point
-                    forwards.append(forward())
-            finally:
-                params.tensors[name] = original
-            return score(forwards)
+            return score(forward(_StackedParams.of(params, name, stack)), len(stack))
 
-        worst = max(worst, _central_differences(values_at, original, grads[name], h))
+        worst = max(worst, _central_differences(values_at, params.tensors[name], grads[name], h))
     return worst
 
 
@@ -279,21 +274,46 @@ def _forward(branch: str, params, voxels: tuple, **replay):
     return image_branch_forward(*voxels, params, **replay)
 
 
-def _branch_loss(branch: str, fwds: list, voxels: tuple, targets: dict):
-    """One batched loss call scoring a branch's forwards, each on the batch of one sample.
+def _branch_loss(branch: str, fwd, k: int, voxels: tuple, targets: dict):
+    """One batched loss call scoring a forward of the batch of one sample as `k` samples.
 
-    The forwards' outputs are concatenated along the sample axis, and the
-    voxels and targets repeated to match.
+    A stacked replay's outputs have one row per perturbed point; an output
+    upstream of the perturbed tensor has one row and is repeated to `k`, as
+    are the voxels and targets.
     """
-    out = {f: np.concatenate([getattr(fwd, f) for fwd in fwds]) for f in SCORED_OUTPUTS[branch]}
-    vox = [np.repeat(v, len(fwds), axis=0) for v in voxels]
-    tgt = {k: np.repeat(t, len(fwds), axis=0) for k, t in targets.items()}
+    out = {f: _rows(getattr(fwd, f), k) for f in SCORED_OUTPUTS[branch]}
+    vox = [_rows(v, k) for v in voxels]
+    tgt = {key: _rows(t, k) for key, t in targets.items()}
     if branch == "text":
         return text_total_loss(tgt["text"], out["pred_emb"], vox[0], out["recon_sem"])
     return image_total_loss(
         tgt["fused"], out["pred_sem_emb"], out["pred_det_emb"], tgt["sem"], tgt["det"],
         *vox, *(out[r] for r in IMAGE_RECONS),
     )
+
+
+def _rows(x, k: int):
+    """`x` with `k` rows: as it is when it has them, its one row repeated otherwise."""
+    return x if len(x) == k else np.repeat(x, k, axis=0)
+
+
+def _safe_draw(cfg: ModelConfig, s: int) -> tuple:
+    """Seed `s`'s first finite-difference-safe draw: (its rng, params, voxels, training forwards by branch)."""
+    base = Rng(2000 + s, "model-gradcheck")
+    for attempt in range(300):
+        rng = base.child(f"attempt-{attempt}")
+        params = init_params(cfg, rng.child("init"))
+        voxels = (
+            rng.child("vox_sem").normal(1, cfg.n_semantic_voxels),
+            rng.child("vox_det").normal(1, cfg.n_detail_voxels),
+        )
+        fwds = {b: _forward(b, params, voxels, rng=rng.child(f"{b}-masks")) for b in _PREDICTIONS}
+        if all(
+            _fd_safe(fwds[b].caches, *(getattr(fwds[b], p) for p in preds))
+            for b, preds in _PREDICTIONS.items()
+        ):
+            return rng, params, voxels, fwds
+    raise RuntimeError("no finite-difference-safe draw found")  # pragma: no cover
 
 
 def model_gradient_suite(n_seeds: int = 20) -> list:
@@ -308,22 +328,7 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
     cfg = _tiny_config()
     worst = dict.fromkeys(_PREDICTIONS, 0.0)
     for s in range(n_seeds):
-        base = Rng(2000 + s, "model-gradcheck")
-        for attempt in range(300):
-            rng = base.child(f"attempt-{attempt}")
-            params = init_params(cfg, rng.child("init"))
-            voxels = (
-                rng.child("vox_sem").normal(1, cfg.n_semantic_voxels),
-                rng.child("vox_det").normal(1, cfg.n_detail_voxels),
-            )
-            fwds = {b: _forward(b, params, voxels, rng=rng.child(f"{b}-masks")) for b in _PREDICTIONS}
-            if all(
-                _fd_safe(fwds[b].caches, *(getattr(fwds[b], p) for p in preds))
-                for b, preds in _PREDICTIONS.items()
-            ):
-                break
-        else:  # pragma: no cover - would indicate a broken generator
-            raise RuntimeError("no finite-difference-safe draw found")
+        rng, params, voxels, fwds = _safe_draw(cfg, s)
         sem_target = rng.child("sem_target").normal(cfg.image_tokens, cfg.image_dim)
         det_target = rng.child("det_target").normal(cfg.image_tokens, cfg.image_dim)
         targets = {
@@ -334,14 +339,14 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
         }
         for branch, fwd in fwds.items():
             masks = collect_masks(fwd.caches)
-            loss = _branch_loss(branch, [fwd], voxels, targets)
+            loss = _branch_loss(branch, fwd, 1, voxels, targets)
             backward = text_branch_backward if branch == "text" else image_branch_backward
             grads = backward(params, fwd, **{k: v for k, v in vars(loss).items() if k.startswith("grad_")})
             error = _max_param_error(
                 params,
                 grads,
-                lambda: _forward(branch, params, voxels, masks=masks),
-                lambda fwds: _branch_loss(branch, fwds, voxels, targets).value,
+                lambda stacked: _forward(branch, stacked, voxels, masks=masks),
+                lambda stacked_fwd, k: _branch_loss(branch, stacked_fwd, k, voxels, targets).value,
             )
             worst[branch] = max(worst[branch], error)
     return [CheckResult(f"model/{branch}_branch", error, 1e-4) for branch, error in worst.items()]

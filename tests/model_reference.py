@@ -1,15 +1,32 @@
-"""Accumulating reference of the branch backward.
+"""Reference forms of one block's forward and of the branch backward.
 
-This is the form that ``voxalign.model._backward`` replaced: every
-gradient starts as a fresh zeroed array and each contribution is computed
-into a temporary and then added. The tests require the backward that
-writes into a caller's buffer to reproduce it bit for bit. Nothing in the
-library imports this module.
+``apply_layer`` is the block forward that ``voxalign.model._apply_layer``
+replaced: every step (bias add, ReLU, mask scaling, dropout, residual)
+makes a fresh array. ``backward`` is the accumulating form that
+``voxalign.model._backward`` replaced: every gradient starts as a fresh
+zeroed array and each contribution is computed into a temporary and then
+added. The tests require the library's forms to reproduce them bit for
+bit. Nothing in the library imports this module.
 """
 
 import numpy as np
 
 from voxalign.model import _plan, image_paths
+
+
+def apply_layer(x, weight, bias, rate, rng, mask, residual, train):
+    """(output, z, mask) of one block; `mask` is replayed when given, drawn from `rng` otherwise."""
+    z = x @ weight + bias
+    activated = np.maximum(z, 0.0)
+    if train:
+        if mask is None:
+            keep = rng.random(*activated.shape) >= rate
+            mask = keep.astype(np.float64) / (1.0 - rate)
+        dropped = activated * mask
+    else:
+        mask = None
+        dropped = activated
+    return (x + dropped if residual else dropped), z, mask
 
 
 def _layer_backward(cache, g_y, train):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from voxalign.model import (
     ModelConfig,
     VARIANTS,
     ModelParams,
+    _apply_layer,
     collect_masks,
     desk_config,
     expected_tensors,
@@ -108,6 +111,61 @@ class TestMlpBlock:
         y2, m2 = mlp_block_forward(x, w, np.zeros(3), 0.5, mask=m1)
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(m1, m2)
+
+
+class TestApplyLayerMatchesReference:
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("mode", ["infer", "draw", "replay"])
+    def test_bit_identical(self, residual, mode):
+        rng = Rng(17, f"layer-{residual}-{mode}")
+        n, a = 5, 7
+        b = a if residual else 4
+        x, w, bias = rng.child("x").normal(n, a), rng.child("w").normal(a, b), rng.child("b").normal(b)
+        mask = (rng.child("keep").random(n, b) >= 0.3) / 0.7 if mode == "replay" else None
+        train = mode != "infer"
+        caches = {}
+        y = _apply_layer(
+            x, w, bias, 0.3, Rng(1, "draw"), None if mask is None else {"k": mask}, "k", caches,
+            residual, train,
+        )
+        want_y, want_z, want_mask = model_reference.apply_layer(
+            x, w, bias, 0.3, Rng(1, "draw"), mask, residual, train
+        )
+        assert y.tobytes() == want_y.tobytes()
+        assert caches["k"]["z"].tobytes() == want_z.tobytes()
+        assert caches["k"]["x"] is x
+        if train:
+            assert caches["k"]["mask"].tobytes() == want_mask.tobytes()
+        else:
+            assert caches["k"]["mask"] is None
+
+
+class TestReplayMaskMustMatch:
+    """A replay mask must have the activations' exact shape; one that only broadcasts is rejected."""
+
+    @pytest.mark.parametrize("bad", [lambda m: m[:1], lambda m: m[None]], ids=["one-row", "stack-axis"])
+    def test_mlp_block(self, bad):
+        x = Rng(18, "blk").normal(2, 3)
+        w = Rng(19, "blk").normal(3, 3)
+        _, mask = mlp_block_forward(x, w, np.zeros(3), 0.5, rng=Rng(2, "m"))
+        with pytest.raises(ShapeMismatch, match="mask for 'block'"):
+            mlp_block_forward(x, w, np.zeros(3), 0.5, mask=bad(mask))
+
+    @pytest.mark.parametrize("bad", [lambda m: m[:1], lambda m: m[None]], ids=["one-row", "stack-axis"])
+    @pytest.mark.parametrize("branch", ["text", "image"])
+    def test_branch_forward(self, branch, bad):
+        params = init_params(TINY, Rng(20, "p"))
+        x_s, x_d = Rng(21, "x").normal(2, 2), Rng(22, "x").normal(2, 4)
+
+        def forward(**replay):
+            if branch == "text":
+                return text_branch_forward(x_s, params, **replay)
+            return image_branch_forward(x_s, x_d, params, **replay)
+
+        masks = collect_masks(forward(rng=Rng(23, "m")).caches)
+        for key in masks:
+            with pytest.raises(ShapeMismatch, match=re.escape(f"mask for {key!r}")):
+                forward(masks={**masks, key: bad(masks[key])})
 
 
 class TestTextBranchForward:

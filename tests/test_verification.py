@@ -9,7 +9,7 @@ from voxalign import verification
 from voxalign.cli import main
 from voxalign.errors import NumericalFailure
 from voxalign.losses import LossValueGrad, _central_differences
-from voxalign.model import init_params
+from voxalign.model import SCORED_OUTPUTS, _StackedParams, collect_masks, expected_tensors, init_params
 from voxalign.rng import Rng
 
 # run_all(n_seeds=2), exactly. The model suite's minus point is x - h, as in
@@ -89,28 +89,28 @@ def test_wrong_model_gradient_fails(monkeypatch):
 
 
 def _fail_forward_at(k):
-    """A forward that raises on its k-th call, and a scorer of zeros."""
+    """A forward that raises on its k-th call (the k-th tensor's stack), and a scorer of zeros."""
     calls = []
 
-    def forward():
+    def forward(stacked):
         calls.append(1)
         if len(calls) == k:
             raise RuntimeError("scoring failed")
 
-    return forward, lambda forwards: np.zeros(len(forwards))
+    return forward, lambda fwd, n: np.zeros(n)
 
 
 def _fail_score_at(k):
     """A forward that always succeeds, and a scorer that raises on its k-th call."""
     calls = []
 
-    def score(forwards):
+    def score(fwd, n):
         calls.append(1)
         if len(calls) == k:
             raise RuntimeError("scoring failed")
-        return np.zeros(len(forwards))
+        return np.zeros(n)
 
-    return lambda: None, score
+    return lambda stacked: None, score
 
 
 def _assert_failure_restores(forward, score):
@@ -128,12 +128,12 @@ def _assert_failure_restores(forward, score):
 
 
 def test_tensors_restored_after_failed_evaluation():
-    # Part-way through the first tensor's stack of forwards.
-    _assert_failure_restores(*_fail_forward_at(5))
+    # The third tensor's stacked forward, after two tensors were scored.
+    _assert_failure_restores(*_fail_forward_at(3))
 
 
 def test_tensors_restored_after_failed_scoring():
-    # After the second tensor's whole stack of forwards has run.
+    # After the second tensor's stacked forward has run.
     _assert_failure_restores(*_fail_score_at(2))
 
 
@@ -205,7 +205,73 @@ def test_model_suite_scores_each_tensor_in_one_call(monkeypatch):
             return _loss(*args, **kwargs)
 
         monkeypatch.setattr(verification, f"{branch}_total_loss", counted)
-    assert all(r.passed for r in verification.model_gradient_suite(n_seeds=1))
+    forwards = {"rng": 0, "masks": 0}
+    for branch in ("text", "image"):
+        forward = getattr(verification, f"{branch}_branch_forward")
+
+        def counted_forward(*args, _forward=forward, **kwargs):
+            [mode] = kwargs  # a screening forward draws masks (rng), a replay reads them (masks)
+            forwards[mode] += 1
+            return _forward(*args, **kwargs)
+
+        monkeypatch.setattr(verification, f"{branch}_branch_forward", counted_forward)
+    attempts = []
+    init = verification.init_params
+    monkeypatch.setattr(verification, "init_params", lambda *a, **k: attempts.append(1) or init(*a, **k))
+
+    n_seeds = 2
+    assert all(r.passed for r in verification.model_gradient_suite(n_seeds=n_seeds))
     names = init_params(verification._tiny_config(), Rng(0, "names")).tensors
-    # One analytic call per branch, then one scoring call per parameter tensor.
-    assert calls == {b: 1 + sum(n.startswith(f"{b}.") for n in names) for b in calls}
+    assert len(names) == 24
+    # Per draw: one analytic call per branch, then one scoring call per parameter tensor.
+    assert calls == {b: n_seeds * (1 + sum(n.startswith(f"{b}.") for n in names)) for b in calls}
+    # One replayed forward per parameter tensor per draw (480 in a 20-draw
+    # gradcheck), and one screening forward per branch per attempt.
+    assert forwards == {"rng": 2 * len(attempts), "masks": n_seeds * len(names)}
+
+
+def _fd_stack(point):
+    """The stack of perturbed points that the central-difference loop builds for `point`."""
+    seen = []
+    record = lambda stack: seen.append(stack) or np.zeros(len(stack))  # noqa: E731
+    _central_differences(record, point, np.zeros(point.shape), verification.FD_STEP)
+    return seen[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_replay_matches_per_point_replay(seed):
+    """The per-point replay is the oracle: one public forward per perturbed copy of a tensor."""
+    cfg = verification._tiny_config()
+    _, params, voxels, fwds = verification._safe_draw(cfg, seed)
+    for branch, fwd in fwds.items():
+        masks = collect_masks(fwd.caches)
+        for name in sorted(n for n in params.tensors if n.startswith(f"{branch}.")):
+            stack = _fd_stack(params.tensors[name])
+            stacked = verification._forward(branch, _StackedParams.of(params, name, stack), voxels, masks=masks)
+            for i, point in enumerate(stack):
+                swapped = params.copy()
+                swapped.tensors[name] = point
+                single = verification._forward(branch, swapped, voxels, masks=masks)
+                for field in SCORED_OUTPUTS[branch]:
+                    got = verification._rows(getattr(stacked, field), len(stack))[i]
+                    assert got.tobytes() == getattr(single, field)[0].tobytes(), (name, i, field)
+
+
+TINY_WEIGHT_SHAPES = sorted({s for s in expected_tensors(verification._tiny_config()).values() if len(s) == 2})
+
+
+@pytest.mark.parametrize("shape", TINY_WEIGHT_SHAPES)
+def test_stacked_matmul_slices_match_2d_products(shape):
+    """The stacked replay's premise: numpy/BLAS gives each slice of a stacked product the 2-D product's bits."""
+    a, b = shape
+    rng = Rng(7, f"stacked-matmul-{shape}")
+    for k in (2 * b, 2 * a * b):
+        x, w = rng.child(f"x{k}").normal(k, 1, a), rng.child(f"w{k}").normal(k, a, b)
+        cases = {
+            "(K,1,a)@(K,a,b)": (x @ w, [x[i] @ w[i] for i in range(k)]),
+            "(K,1,a)@(a,b)": (x @ w[0], [x[i] @ w[0] for i in range(k)]),
+            "(1,a)@(K,a,b)": (x[0] @ w, [x[0] @ w[i] for i in range(k)]),
+        }
+        for form, (stacked, slices) in cases.items():
+            for i, want in enumerate(slices):
+                assert stacked[i].tobytes() == want.tobytes(), (form, k, i)
