@@ -262,11 +262,7 @@ def param_count(cfg: ModelConfig, variant: str = "full") -> int:
 
 
 def _apply_layer(x, weight, bias, rate, rng, masks, key, caches, residual, train):
-    z = x @ weight
-    if bias.ndim > z.ndim:  # a stacked bias on an unstacked input (_StackedParams)
-        z = z + bias
-    else:
-        z += bias
+    z = x @ weight + bias
     y = np.maximum(z, 0.0)
     mask = None
     if train:
@@ -384,8 +380,9 @@ def _forward(branch, paths, params: ModelParams, voxels: dict, rng, masks):
                 x, t[weight], t[bias], rates[kind], rng, masks, key, caches,
                 residual=kind == "backbone", train=train,
             )
-    if isinstance(params, _StackedParams):
-        acts = {name: a.reshape(-1, a.shape[-1]) for name, a in acts.items()}
+    # A stacked replay's (K, n, width) activations become sample rows; a
+    # public caller's 2-D activations come back as views of the same shape.
+    acts = {name: a.reshape(-1, a.shape[-1]) for name, a in acts.items()}
     return acts, caches
 
 

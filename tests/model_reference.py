@@ -1,8 +1,8 @@
 """Reference forms of one block's forward and of the branch backward.
 
 ``apply_layer`` is the block forward that ``voxalign.model._apply_layer``
-replaced: every step (bias add, ReLU, mask scaling, dropout, residual)
-makes a fresh array. ``backward`` is the accumulating form that
+replaced: every step (mask scaling, dropout, residual) makes a fresh
+array. ``backward`` is the accumulating form that
 ``voxalign.model._backward`` replaced: every gradient starts as a fresh
 zeroed array and each contribution is computed into a temporary and then
 added. The tests require the library's forms to reproduce them bit for
