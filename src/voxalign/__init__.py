@@ -57,7 +57,7 @@ from .losses import (
     sims_vector,
     text_total_loss,
 )
-from .matio import load_matrix, save_matrix
+from .matio import load_matrices, load_matrix, save_matrices, save_matrix
 from .metrics import pixcorr, ssim, two_way_identification
 from .model import (
     ModelConfig,

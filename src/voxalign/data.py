@@ -17,6 +17,8 @@ of detail voxels.
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from ._arrays import as_matrix
 from .alignment import LayerStack
 from .config import check_fields, format_value, read_config_file, read_text, setting
 from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch, UsageError
-from .matio import load_matrix, save_matrix
+from .matio import load_matrices, load_matrix, save_matrices, save_matrix
 from .rng import Rng
 
 MAX_CAPTIONS = 5
@@ -171,8 +173,26 @@ class Dataset:
         return int(self.meta["image_tokens"]), int(self.meta["image_dim"])
 
     def text_targets(self) -> np.ndarray:
-        """Per-stimulus caption average, shape (n, text_tokens, text_dim)."""
-        return np.stack([average_captions(c) for c in self.captions])
+        """Per-stimulus caption average, shape (n, text_tokens, text_dim).
+
+        Stimuli with the same caption count are averaged in one ``np.mean``,
+        which gives the bits of :func:`average_captions` per stimulus. A
+        caption list that is empty, ragged or not finite goes through
+        :func:`average_captions`, which names the fault.
+        """
+        counts = np.array([len(c) for c in self.captions])
+        try:
+            flat = np.stack([e for c in self.captions for e in c]).astype(np.float64, copy=False)
+        except ValueError:  # no captions at all, or captions of different shapes
+            flat = None
+        if flat is None or flat.ndim != 3 or not flat.size or counts.min() < 1 or not np.isfinite(flat).all():
+            return np.stack([average_captions(c) for c in self.captions])
+        starts = np.cumsum(counts) - counts
+        out = np.empty((len(counts),) + flat.shape[1:])
+        for count in np.unique(counts):
+            rows = np.flatnonzero(counts == count)
+            out[rows] = np.mean(flat[starts[rows, None] + np.arange(count)], axis=1)
+        return out
 
     def image_targets(self, layer_lo: int, layer_hi: int, semantic_from_final: bool) -> dict:
         """Per-path image targets ``{"sem": ..., "det": ...}``, each (n, image_tokens, image_dim).
@@ -294,15 +314,20 @@ def save_dataset(dataset: Dataset, directory) -> None:
     (root / "mask.txt").write_text("\n".join(dataset.mask.labels) + "\n", encoding="utf-8")
     layer_dir = root / "layers"
     layer_dir.mkdir(exist_ok=True)
-    for layer_id, features in zip(dataset.layers.layer_ids, dataset.layers.features):
-        save_matrix(features, layer_dir / f"layer_{layer_id}.mat1")
+    save_matrices(
+        (features, os.path.join(layer_dir, f"layer_{layer_id}.mat1"))
+        for layer_id, features in zip(dataset.layers.layer_ids, dataset.layers.features)
+    )
     caption_root = root / "captions"
     caption_root.mkdir(exist_ok=True)
-    for i, caption_list in enumerate(dataset.captions):
-        stim_dir = caption_root / str(i)
-        stim_dir.mkdir(exist_ok=True)
-        for j, emb in enumerate(caption_list):
-            save_matrix(emb, stim_dir / f"{j}.mat1")
+    stim_dirs = [os.path.join(caption_root, str(i)) for i in range(len(dataset.captions))]
+    for stim_dir in stim_dirs:
+        os.makedirs(stim_dir, exist_ok=True)
+    save_matrices(
+        (emb, os.path.join(stim_dir, f"{j}.mat1"))
+        for stim_dir, caption_list in zip(stim_dirs, dataset.captions)
+        for j, emb in enumerate(caption_list)
+    )
     meta_lines = [f"{k}={dataset.meta[k]}" for k in sorted(dataset.meta)]
     (root / "meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
@@ -338,14 +363,34 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
-def _numbered_files(directory: Path, prefix: str) -> list:
-    """The ``<prefix><number>.mat1`` files in `directory` as (number, path), in number order."""
+# The listing errors that Path.glob reads as a directory with no entries.
+_UNLISTED = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP, errno.EACCES, errno.EPERM)
+
+
+def _numbered_files(directory, prefix: str) -> list:
+    """The ``<prefix><number>.mat1`` files in `directory` as (number, path), in number order.
+
+    Every entry named ``<prefix>*.mat1`` counts, hidden names and
+    directories included, so an entry whose middle is not a number is an
+    error. As for ``Path.glob``, a missing directory, a file, a symlink loop
+    or a directory this process may not read has no files; any other
+    listing error propagates.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        if exc.errno not in _UNLISTED:
+            raise
+        return []
     found = []
-    for path in directory.glob(f"{prefix}*.mat1"):
-        try:
-            found.append((int(path.stem[len(prefix):]), path))
-        except ValueError:
-            raise FormatError(f"{path}: expected a file named {prefix}<number>.mat1", offset=0) from None
+    base = os.path.join(directory, "")
+    for name in names:
+        if name.startswith(prefix) and name.endswith(".mat1") and len(name) >= len(prefix) + 5:
+            path = base + name
+            try:
+                found.append((int(name[len(prefix):-5]), path))
+            except ValueError:
+                raise FormatError(f"{path}: expected a file named {prefix}<number>.mat1", offset=0) from None
     return sorted(found, key=lambda item: item[0])
 
 
@@ -389,20 +434,24 @@ def load_dataset(directory) -> Dataset:
     if not layer_files:
         raise FormatError(f"no layer files in {layer_dir}", offset=0)
     layer_ids = [i for i, _ in layer_files]
-    features = []
-    for _, path in layer_files:
-        flat = load_matrix(path)
-        if projection is not None:
-            flat = _project_layer(flat, projection, int(meta["image_tokens"]))
-        features.append(flat)
+    features = load_matrices(path for _, path in layer_files)
+    if projection is not None:
+        features = [_project_layer(flat, projection, int(meta["image_tokens"])) for flat in features]
     layers = LayerStack(tuple(layer_ids), tuple(features))
 
     caption_root = root / "captions"
-    captions = []
+    listings = []
     for i in range(voxels.shape[0]):
-        stim_dir = caption_root / str(i)
-        files = _numbered_files(stim_dir, "")
-        if not files:
-            raise FormatError(f"stimulus {i} has no caption files", offset=0)
-        captions.append([load_matrix(f) for _, f in files])
+        try:
+            files = _numbered_files(os.path.join(caption_root, str(i)), "")
+            if not files:
+                raise FormatError(f"stimulus {i} has no caption files", offset=0)
+        except FormatError:
+            # A bad caption file of an earlier stimulus is named first, as
+            # when each stimulus was listed and read in turn.
+            load_matrices(path for paths in listings for path in paths)
+            raise
+        listings.append([path for _, path in files])
+    loaded = iter(load_matrices(path for paths in listings for path in paths))
+    captions = [[next(loaded) for _ in paths] for paths in listings]
     return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)

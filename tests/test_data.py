@@ -1,3 +1,6 @@
+from pathlib import Path
+
+import data_reference as ref
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from voxalign.data import (
 )
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
 from voxalign.linalg import ridge_solve, spearman
+from voxalign.matio import save_matrix
 from voxalign.rng import Rng
 
 
@@ -249,8 +253,6 @@ class TestDatasetRoundTrip:
     def test_ingestion_projection_applied_to_layers(self, tmp_path):
         # Wide per-token features on disk, projected to the common width
         # at load time through projection.mat1.
-        from voxalign.matio import save_matrix
-
         ds = make_stack_dataset()
         root = tmp_path / "data"
         save_dataset(ds, root)
@@ -271,11 +273,89 @@ class TestDatasetRoundTrip:
             np.testing.assert_allclose(got, expected, atol=0)
 
     def test_ingestion_projection_width_validated(self, tmp_path):
-        from voxalign.matio import save_matrix
-
         ds = make_stack_dataset()
         root = tmp_path / "data"
         save_dataset(ds, root)
         save_matrix(np.ones((5, 3)), root / "projection.mat1")  # wrong output width
         with pytest.raises(ShapeMismatch):
             load_dataset(root)
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_same_dataset(got, expected):
+    def same(a, b):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+    same(got.voxels, expected.voxels)
+    assert got.mask == expected.mask
+    assert got.meta == expected.meta
+    assert got.layers.layer_ids == expected.layers.layer_ids
+    for a, b in zip(got.layers.features, expected.layers.features, strict=True):
+        same(a, b)
+    assert [len(c) for c in got.captions] == [len(c) for c in expected.captions]
+    for ca, cb in zip(got.captions, expected.captions):
+        for a, b in zip(ca, cb):
+            same(a, b)
+
+
+def _caption_means(ds):
+    return np.stack([average_captions(c) for c in ds.captions])
+
+
+class TestBatchedIOOracle:
+    """The batched dataset reader and writer against the per-file ones."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_files_and_arrays_match_the_per_file_io(self, tmp_path, seed):
+        ds = synth_generate(small_cfg(n_train=40, n_test=12, seed=seed))
+        assert {len(c) for c in ds.captions} == {1, 2, 3, 4, 5}
+        save_dataset(ds, tmp_path / "batched")
+        ref.save_dataset(ds, tmp_path / "per_file")
+        assert _tree(tmp_path / "batched") == _tree(tmp_path / "per_file")
+        loaded = load_dataset(tmp_path / "batched")
+        _assert_same_dataset(loaded, ref.load_dataset(tmp_path / "batched"))
+        for d in (ds, loaded):
+            assert d.text_targets().tobytes() == _caption_means(d).tobytes()
+
+    def test_projection_matches_the_per_file_loader(self, tmp_path):
+        ds = make_stack_dataset()
+        root = tmp_path / "data"
+        save_dataset(ds, root)
+        tokens, dim = ds.image_token_shape
+        rng = Rng(5, "proj")
+        for layer_id in ds.layers.layer_ids:
+            save_matrix(rng.child(f"layer/{layer_id}").normal(ds.n, tokens * (dim + 2)),
+                        root / "layers" / f"layer_{layer_id}.mat1")
+        save_matrix(rng.child("p").normal(dim + 2, dim), root / "projection.mat1")
+        _assert_same_dataset(load_dataset(root), ref.load_dataset(root))
+
+    @pytest.mark.parametrize("fault,error", [
+        ("empty", "caption list is empty"),
+        ("ragged", "caption 1 has shape (2, 3), expected (3, 3)"),
+        ("other_shape", "all input arrays must have the same shape"),
+        ("non_finite", "caption 0: contains non-finite entries"),
+        ("vector", "caption 0: expected 2-D, got shape (9,)"),
+    ])
+    def test_text_targets_faults_named_as_per_stimulus(self, fault, error):
+        ds = synth_generate(small_cfg(text_tokens=3, text_dim=3))
+        counts = [len(c) for c in ds.captions]
+        i = counts.index(2)
+        if fault == "empty":
+            ds.captions[i] = []
+        elif fault == "ragged":
+            ds.captions[i][1] = np.ones((2, 3))
+        elif fault == "other_shape":
+            ds.captions[counts.index(1)] = [np.ones((4, 3))]
+        elif fault == "non_finite":
+            ds.captions[i][0] = np.full((3, 3), np.inf)
+        else:
+            ds.captions = [[np.ones(9)] * len(c) for c in ds.captions]
+        with pytest.raises(Exception) as expected:
+            _caption_means(ds)
+        with pytest.raises(type(expected.value)) as got:
+            ds.text_targets()
+        assert str(got.value) == str(expected.value)
+        assert error in str(got.value)

@@ -6,20 +6,29 @@ damages one file in place (a MAT1 matrix, a checkpoint manifest line or a
 the original bytes back. Every damage must give exit status 2, an
 ``error:`` line that names the file (and the key or line where there is
 one), no traceback and no output directory.
+
+The same damages check the batched MAT1 reader against the per-file
+reference reader of ``data_reference``: both must raise the same message
+and offset, and a dataset with a damaged caption file or directory must
+fail as it did under the per-file loader.
 """
 
 import contextlib
 import io
 import math
+import shutil
 import struct
 from pathlib import Path
 
+import data_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxalign.cli import main
-from voxalign.matio import HEADER_SIZE
+from voxalign.data import load_dataset
+from voxalign.errors import FormatError
+from voxalign.matio import HEADER_SIZE, load_matrices, load_matrix
 
 TINY_GEN = """
 n_train=8
@@ -179,3 +188,87 @@ def test_damaged_meta_line_named(tiny, data):
             damaged, named = damaged + [f"{key}={value}"], f"{key}="
     with _damaged(meta, ("\n".join(damaged) + "\n").encode()):
         _eval_fails(tiny, f"error: {meta}: ", named)
+
+
+def _raised(load, *args) -> tuple:
+    """The type, message and offset that ``load(*args)`` raises."""
+    with pytest.raises(FormatError) as exc:
+        load(*args)
+    return type(exc.value), str(exc.value), exc.value.offset
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_batch_reader_raises_what_the_file_reader_raised(tiny, data):
+    """``load_matrices([p])`` and ``load_matrix(p)`` fail as the per-file reader did."""
+    path = tiny / data.draw(st.sampled_from(_mat1_files(tiny)), label="file")
+    content = data.draw(mat1_damage(path.read_bytes()), label="content")
+    with _damaged(path, content):
+        expected = _raised(ref.load_matrix, path)
+        assert _raised(load_matrices, [path]) == expected
+        assert _raised(load_matrix, path) == expected
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_batch_reader_names_the_first_damaged_file(tiny, data):
+    """A batch with two damaged files fails as a loop over the per-file reader does."""
+    files = data.draw(st.lists(st.sampled_from(_mat1_files(tiny)), min_size=2, max_size=6, unique=True))
+    first, second = (tiny / f for f in data.draw(st.permutations(files), label="damaged")[:2])
+    with _damaged(first, data.draw(mat1_damage(first.read_bytes()), label="first")), \
+            _damaged(second, data.draw(mat1_damage(second.read_bytes()), label="second")):
+        paths = [tiny / f for f in files]
+        expected = next(_raised(ref.load_matrix, p) for p in paths if p in (first, second))
+        assert _raised(load_matrices, paths) == expected
+
+
+def _dataset_copy(tiny, tmp_path) -> Path:
+    data = tmp_path / "data"
+    shutil.copytree(tiny / "data", data)
+    return data
+
+
+def test_nan_in_a_middle_caption_names_that_file(tiny, tmp_path):
+    data = _dataset_copy(tiny, tmp_path)
+    path = data / "captions" / "5" / "0.mat1"
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 8 * 4:HEADER_SIZE + 8 * 5] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(raw))
+    error = _raised(load_dataset, data)
+    assert error == _raised(ref.load_dataset, data)
+    assert error[1] == f"{path}: non-finite value at element 4 (byte offset {HEADER_SIZE + 32})"
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("directory", "{data}/captions/3/7.mat1: cannot read (Is a directory) (byte offset 0)"),
+    ("hidden", "{data}/captions/3/.5.mat1: expected a file named <number>.mat1 (byte offset 0)"),
+    ("missing", "stimulus 3 has no caption files (byte offset 0)"),
+    ("not_a_directory", "stimulus 3 has no caption files (byte offset 0)"),
+    ("symlink_loop", "stimulus 3 has no caption files (byte offset 0)"),
+])
+def test_caption_listing_faults_fail_as_before(tiny, tmp_path, fault, message):
+    data = _dataset_copy(tiny, tmp_path)
+    stim_dir = data / "captions" / "3"
+    if fault == "directory":
+        (stim_dir / "7.mat1").mkdir()
+    elif fault == "hidden":
+        shutil.copy(stim_dir / "0.mat1", stim_dir / ".5.mat1")
+    else:
+        shutil.rmtree(stim_dir)
+        if fault == "not_a_directory":
+            stim_dir.write_bytes(b"")
+        elif fault == "symlink_loop":
+            stim_dir.symlink_to(stim_dir.name)
+    error = _raised(load_dataset, data)
+    assert error == _raised(ref.load_dataset, data)
+    assert error[1] == message.format(data=data)
+
+
+def test_a_bad_caption_file_is_named_before_a_later_missing_stimulus(tiny, tmp_path):
+    data = _dataset_copy(tiny, tmp_path)
+    path = data / "captions" / "2" / "0.mat1"
+    path.write_bytes(path.read_bytes()[:-8])
+    shutil.rmtree(data / "captions" / "3")
+    error = _raised(load_dataset, data)
+    assert error == _raised(ref.load_dataset, data)
+    assert error[1].startswith(f"{path}: truncated payload")
