@@ -178,7 +178,9 @@ class Dataset:
         Stimuli with the same caption count are averaged in one ``np.mean``,
         which gives the bits of :func:`average_captions` per stimulus. A
         caption list that is empty, ragged or not finite goes through
-        :func:`average_captions`, which names the fault.
+        :func:`average_captions`, which names the fault; a stimulus whose
+        captions differ in shape from stimulus 0's raises
+        :class:`ShapeMismatch` naming it.
         """
         counts = np.array([len(c) for c in self.captions])
         try:
@@ -186,7 +188,13 @@ class Dataset:
         except ValueError:  # no captions at all, or captions of different shapes
             flat = None
         if flat is None or flat.ndim != 3 or not flat.size or counts.min() < 1 or not np.isfinite(flat).all():
-            return np.stack([average_captions(c) for c in self.captions])
+            means = [average_captions(c) for c in self.captions]
+            for i, mean in enumerate(means):
+                if mean.shape != means[0].shape:
+                    raise ShapeMismatch(
+                        f"stimulus {i}: captions have shape {mean.shape}, stimulus 0's have {means[0].shape}"
+                    )
+            return np.stack(means)
         starts = np.cumsum(counts) - counts
         out = np.empty((len(counts),) + flat.shape[1:])
         for count in np.unique(counts):
@@ -333,13 +341,8 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
 
 def _project_layer(flat: np.ndarray, projection: np.ndarray, tokens: int) -> np.ndarray:
-    n, width = flat.shape
-    d_in = projection.shape[0]
-    if width != tokens * d_in:
-        raise ShapeMismatch(
-            f"layer width {width} is not {tokens} tokens x {d_in} projection rows"
-        )
-    projected = flat.reshape(n, tokens, d_in) @ projection
+    n = flat.shape[0]
+    projected = flat.reshape(n, tokens, projection.shape[0]) @ projection
     return projected.reshape(n, tokens * projection.shape[1])
 
 
@@ -394,6 +397,13 @@ def _numbered_files(directory, prefix: str) -> list:
     return sorted(found, key=lambda item: item[0])
 
 
+def _check_shapes(files, shape: tuple, source: str) -> None:
+    """Raise :class:`ShapeMismatch` naming the first (path, matrix) in `files` not of `shape`."""
+    for path, matrix in files:
+        if matrix.shape != shape:
+            raise ShapeMismatch(f"{path}: shape {matrix.shape}, expected {shape} ({source})")
+
+
 def load_dataset(directory) -> Dataset:
     """Load a dataset directory written by :func:`save_dataset`.
 
@@ -401,6 +411,12 @@ def load_dataset(directory) -> Dataset:
     embeddings are right-multiplied by it at ingestion; this maps wider
     per-token features (as an external backbone would emit before its
     final projection) down to the dataset's common width.
+
+    ``meta.txt`` fixes every shape: ``voxels.mat1`` has ``n_train +
+    n_test`` rows, each layer file as many rows and ``image_tokens *
+    image_dim`` columns (``image_tokens`` times the projection's rows when
+    there is one), and each caption is ``text_tokens x text_dim``. A file
+    of another shape raises :class:`ShapeMismatch` naming it.
     """
     root = Path(directory)
     meta_path = root / "meta.txt"
@@ -408,7 +424,14 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"missing meta.txt in {root}", offset=0)
     meta = _read_meta(meta_path)
 
-    voxels = load_matrix(root / "voxels.mat1")
+    voxels_path = root / "voxels.mat1"
+    voxels = load_matrix(voxels_path)
+    n_train, n_test = int(meta["n_train"]), int(meta["n_test"])
+    n = voxels.shape[0]
+    if n_train + n_test != n:
+        raise ShapeMismatch(
+            f"{meta_path}: n_train + n_test = {n_train} + {n_test}, but {voxels_path} has {n} rows"
+        )
     mask_path = root / "mask.txt"
     try:
         mask = RegionMask(tuple(l for l in read_text(mask_path).splitlines() if l))
@@ -416,7 +439,7 @@ def load_dataset(directory) -> Dataset:
         raise DegenerateInput(f"{mask_path}: {exc}") from None
     if voxels.shape[1] != mask.n_detail:
         raise ShapeMismatch(
-            f"voxels have {voxels.shape[1]} columns, mask lists {mask.n_detail} voxels"
+            f"{voxels_path}: {voxels.shape[1]} columns, but {mask_path} lists {mask.n_detail} voxels"
         )
 
     projection = None
@@ -425,8 +448,8 @@ def load_dataset(directory) -> Dataset:
         projection = load_matrix(projection_path)
         if projection.shape[1] != int(meta["image_dim"]):
             raise ShapeMismatch(
-                f"projection maps to width {projection.shape[1]}, dataset "
-                f"expects {meta['image_dim']}"
+                f"{projection_path}: maps to width {projection.shape[1]}, but "
+                f"{meta_path} gives image_dim={meta['image_dim']}"
             )
 
     layer_dir = root / "layers"
@@ -435,13 +458,22 @@ def load_dataset(directory) -> Dataset:
         raise FormatError(f"no layer files in {layer_dir}", offset=0)
     layer_ids = [i for i, _ in layer_files]
     features = load_matrices(path for _, path in layer_files)
+    tokens = int(meta["image_tokens"])
+    if projection is None:
+        width, per_token = tokens * int(meta["image_dim"]), "image_dim"
+    else:
+        width, per_token = tokens * projection.shape[0], f"{projection_path} rows"
+    _check_shapes(
+        ((path, flat) for (_, path), flat in zip(layer_files, features)), (n, width),
+        f"stimuli x image_tokens * {per_token} of {meta_path}",
+    )
     if projection is not None:
-        features = [_project_layer(flat, projection, int(meta["image_tokens"])) for flat in features]
+        features = [_project_layer(flat, projection, tokens) for flat in features]
     layers = LayerStack(tuple(layer_ids), tuple(features))
 
     caption_root = root / "captions"
     listings = []
-    for i in range(voxels.shape[0]):
+    for i in range(n):
         try:
             files = _numbered_files(os.path.join(caption_root, str(i)), "")
             if not files:
@@ -452,6 +484,12 @@ def load_dataset(directory) -> Dataset:
             load_matrices(path for paths in listings for path in paths)
             raise
         listings.append([path for _, path in files])
-    loaded = iter(load_matrices(path for paths in listings for path in paths))
-    captions = [[next(loaded) for _ in paths] for paths in listings]
+    paths = [path for stim_paths in listings for path in stim_paths]
+    matrices = load_matrices(paths)
+    _check_shapes(
+        zip(paths, matrices), (int(meta["text_tokens"]), int(meta["text_dim"])),
+        f"text_tokens x text_dim of {meta_path}",
+    )
+    loaded = iter(matrices)
+    captions = [[next(loaded) for _ in stim_paths] for stim_paths in listings]
     return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)

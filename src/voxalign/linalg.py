@@ -69,9 +69,7 @@ def pearson(x, y) -> float:
 def fractional_ranks(x) -> np.ndarray:
     """Ranks starting at 1; tied values receive the average of their ranks.
 
-    The same values as ``scipy.stats.rankdata(x, method="average")``,
-    computed here so that importing the package does not load
-    ``scipy.stats``.
+    The same values as ``scipy.stats.rankdata(x, method="average")``.
     """
     xv = as_vector(x, "x")
     order = np.argsort(xv)
@@ -116,12 +114,12 @@ def cosine(u, v) -> float:
 def ridge_solve(x, y, lam: float) -> np.ndarray:
     """Ridge regression weights minimizing ``||XW - Y||^2 + lam ||W||^2``.
 
-    Solved through a Cholesky factorization of ``X^T X + lam I``; a
-    factorization failure (matrix not positive definite after
-    regularization) raises :class:`NumericalFailure`. A negative or
-    non-finite ``lam`` raises ``ValueError``. ``scipy.linalg`` is imported
-    here, on the first call, so that importing the package does not load
-    scipy.
+    ``X^T X + lam I`` must have a Cholesky factorization: a matrix that is
+    not positive definite after regularization raises
+    :class:`NumericalFailure`. The weights are then one solve of that
+    matrix (numpy has no triangular solve, and two general solves on the
+    factor cost twice as much). A negative or non-finite ``lam`` raises
+    ``ValueError``.
     """
     xm = as_matrix(x, "X")
     ym = as_matrix(y, "Y")
@@ -134,10 +132,8 @@ def ridge_solve(x, y, lam: float) -> np.ndarray:
     gram = xm.T @ xm
     if lam > 0.0:
         gram = gram + lam * np.eye(p)
-    import scipy.linalg
-
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, xm.T @ ym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, xm.T @ ym, check_finite=False)

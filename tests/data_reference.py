@@ -6,8 +6,10 @@ batched ``voxalign.data.load_dataset``/``save_dataset`` replaced: one
 ``Path.read_bytes`` or ``Path.write_bytes`` and one numpy decode per file,
 and ``Path.glob`` for the numbered files. The tests require the batched
 paths to reproduce their arrays bit for bit, their files byte for byte and
-their errors message for message. Nothing in the library imports this
-module.
+their errors message for message. ``load_dataset`` here does not check
+file shapes against ``meta.txt``, which the library's loader does; a
+layer whose width does not fit ``projection.mat1`` fails in
+``project_layer``. Nothing in the library imports this module.
 """
 
 from pathlib import Path
@@ -16,7 +18,7 @@ import numpy as np
 
 from voxalign.alignment import LayerStack
 from voxalign.config import read_text
-from voxalign.data import Dataset, RegionMask, _project_layer, _read_meta
+from voxalign.data import Dataset, RegionMask, _read_meta
 from voxalign.errors import DegenerateInput, FormatError, NumericalFailure, ShapeMismatch
 from voxalign.matio import _HEADER, HEADER_SIZE, MAGIC
 
@@ -100,6 +102,17 @@ def numbered_files(directory: Path, prefix: str) -> list:
     return sorted(found, key=lambda item: item[0])
 
 
+def project_layer(flat: np.ndarray, projection: np.ndarray, tokens: int) -> np.ndarray:
+    n, width = flat.shape
+    d_in = projection.shape[0]
+    if width != tokens * d_in:
+        raise ShapeMismatch(
+            f"layer width {width} is not {tokens} tokens x {d_in} projection rows"
+        )
+    projected = flat.reshape(n, tokens, d_in) @ projection
+    return projected.reshape(n, tokens * projection.shape[1])
+
+
 def load_dataset(directory) -> Dataset:
     root = Path(directory)
     meta_path = root / "meta.txt"
@@ -137,7 +150,7 @@ def load_dataset(directory) -> Dataset:
     for _, path in layer_files:
         flat = load_matrix(path)
         if projection is not None:
-            flat = _project_layer(flat, projection, int(meta["image_tokens"]))
+            flat = project_layer(flat, projection, int(meta["image_tokens"]))
         features.append(flat)
     layers = LayerStack(tuple(layer_ids), tuple(features))
 

@@ -2,11 +2,15 @@
 
 Every tolerance is pinned here; nothing is deferred to calibration. The
 heavyweight trained models (criterion 5) are shared with criteria 6 and 8
-through module-scoped fixtures. Run with ``pytest tests/test_acceptance.py
--v -s`` to see one pass/fail line per criterion.
+through module-scoped fixtures, which train them and criterion 6's
+ablations on two worker processes. Run with
+``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line per
+criterion.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,22 +49,45 @@ def desk_datasets():
     return {seed: synth_generate(SynthConfig(seed=seed)) for seed in TRAIN_SEEDS}
 
 
+def _train_full(dataset, seed):
+    """One criterion-5 model: 200 epochs of ``full``, timed in the worker that trains it."""
+    t0 = time.perf_counter()
+    cfg = TrainConfig(seed=seed)
+    params, report = train(dataset, desk_config(), cfg, variant="full")
+    metrics = evaluate(params, dataset, cfg)
+    return {"params": params, "report": report, "metrics": metrics, "seconds": time.perf_counter() - t0}
+
+
+def _ablation_metrics(variant, dataset, seed):
+    return run_ablation(variant, dataset, desk_config(), TrainConfig(seed=seed))[2]
+
+
 @pytest.fixture(scope="module")
-def trained_full(desk_datasets):
-    """Full-variant models at the default desk config, 200 epochs, 3 seeds."""
-    out = {}
-    for seed in TRAIN_SEEDS:
-        t0 = time.perf_counter()
-        cfg = TrainConfig(seed=seed)
-        params, report = train(desk_datasets[seed], desk_config(), cfg, variant="full")
-        metrics = evaluate(params, desk_datasets[seed], cfg)
-        out[seed] = {
-            "params": params,
-            "report": report,
-            "metrics": metrics,
-            "seconds": time.perf_counter() - t0,
+def trainings(desk_datasets):
+    """The nine acceptance trainings on two forked workers, one per core.
+
+    The trainings are independent and seeded, and each worker inherits
+    the one-thread BLAS pin, so every result is the one a serial loop
+    gives. Returns ``({seed: full model}, {(variant, seed): ablation metrics})``.
+    """
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        # The longer full trainings go first, so the two workers finish together.
+        full = {seed: pool.submit(_train_full, desk_datasets[seed], seed) for seed in TRAIN_SEEDS}
+        ablations = {
+            (variant, seed): pool.submit(_ablation_metrics, variant, desk_datasets[seed], seed)
+            for seed in TRAIN_SEEDS
+            for variant in ("full_no_crec", "text_only")
         }
-    return out
+        return (
+            {seed: future.result() for seed, future in full.items()},
+            {key: future.result() for key, future in ablations.items()},
+        )
+
+
+@pytest.fixture(scope="module")
+def trained_full(trainings):
+    """Full-variant models at the default desk config, 200 epochs, 3 seeds."""
+    return trainings[0]
 
 
 def test_criterion_1_gradient_suite():
@@ -211,14 +238,14 @@ def test_criterion_5_training_efficacy(desk_datasets, trained_full):
     )
 
 
-def test_criterion_6_ablation_ordering(desk_datasets, trained_full):
+def test_criterion_6_ablation_ordering(trainings):
+    trained_full, ablations = trainings
     crec_wins = 0
     text_wins = 0
     for seed in TRAIN_SEEDS:
-        cfg = TrainConfig(seed=seed)
         full_score = trained_full[seed]["metrics"]["two_way_image"]
-        _, _, no_crec = run_ablation("full_no_crec", desk_datasets[seed], desk_config(), cfg)
-        _, _, text_only = run_ablation("text_only", desk_datasets[seed], desk_config(), cfg)
+        no_crec = ablations["full_no_crec", seed]
+        text_only = ablations["text_only", seed]
         if full_score >= no_crec["two_way_image"]:
             crec_wins += 1
         if full_score > text_only["two_way_text"]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from voxalign import alignment, linalg
 from voxalign.alignment import (
@@ -14,6 +15,7 @@ from voxalign.alignment import (
     write_rsa_table_csv,
     write_square_csv,
 )
+from voxalign.data import SynthConfig, synth_generate
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
 from voxalign.linalg import pearson, ridge_solve
 from voxalign.rng import Rng
@@ -282,6 +284,24 @@ class TestRegionLayerRsa:
         rows = region_layer_rsa(regions, stack, mode="ridge", ridge_lambda=0.5)
         assert [tuple(row) for row in rows] == expected
         assert len(calls) == len(regions) * stack.n_layers + stack.n_layers
+
+    @pytest.mark.parametrize("n_train,n_test,seed", [(96, 32, 7), (288, 96, 1), (512, 64, 2)])
+    def test_ridge_table_matches_scipy_cholesky_solve(self, monkeypatch, tmp_path, n_train, n_test, seed):
+        """The numpy solve writes the rsa.csv that scipy's cho_factor/cho_solve wrote."""
+        def scipy_ridge(x, y, lam):
+            gram = x.T @ x + lam * np.eye(x.shape[1])
+            factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+            return scipy.linalg.cho_solve(factor, x.T @ y, check_finite=False)
+
+        ds = synth_generate(SynthConfig(n_train=n_train, n_test=n_test, seed=seed))
+        regions = [("low_level", ds.voxels[:, ds.mask.low_indices]),
+                   ("high_level", ds.voxels[:, ds.mask.high_indices])]
+        for lam in (0.01, 1.0, 100.0):
+            write_rsa_table_csv(region_layer_rsa(regions, ds.layers, "ridge", lam), tmp_path / "numpy.csv")
+            with monkeypatch.context() as patched:
+                patched.setattr(alignment, "ridge_solve", scipy_ridge)
+                write_rsa_table_csv(region_layer_rsa(regions, ds.layers, "ridge", lam), tmp_path / "scipy.csv")
+            assert (tmp_path / "numpy.csv").read_text() == (tmp_path / "scipy.csv").read_text(), lam
 
     def test_all_equal_rdm_names_region(self):
         # One-hot rows are pairwise equally correlated: every distance is 1.5.

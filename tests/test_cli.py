@@ -221,6 +221,14 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def _load_fails(self, workspace, data, tmp_path, capsys, message):
+        """``train`` and ``analyze --mode cka-heatmap`` on `data` each exit 2 with `message`."""
+        for command in (["train", "--config", str(workspace / "train.cfg")], ["analyze", "--mode", "cka-heatmap"]):
+            code = main(command + ["--data", str(data), "--out", str(tmp_path / "run"), "--quiet"])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("damage,named", [
         ("truncate", "layers/layer_2.mat1"),
         ("truncate", "captions/3/0.mat1"),
@@ -228,6 +236,8 @@ class TestTrain:
         ("delete", "mask.txt"),
         ("bad_label", "mask.txt"),
         ("not_utf8", "mask.txt"),
+        ("row_short", "layers/layer_1.mat1"),
+        ("column_short", "layers/layer_1.mat1"),
     ])
     def test_bad_dataset_file_named_exit_2(self, workspace, tmp_path, capsys, damage, named):
         data = tmp_path / "data"
@@ -239,14 +249,13 @@ class TestTrain:
             path.unlink()
         elif damage == "bad_label":
             path.write_text(path.read_text() + "cortex\n")
-        else:
+        elif damage == "not_utf8":
             path.write_bytes(b"\xff\xfe" + path.read_bytes())
-        code = main(["train", "--config", str(workspace / "train.cfg"), "--data", str(data),
-                     "--out", str(tmp_path / "run"), "--quiet"])
-        assert code == 2
-        assert f"error: {path}: " in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
+        else:  # every layer file one row or one column short
+            for layer in (data / "layers").iterdir():
+                m = load_matrix(layer)
+                save_matrix(m[:-1] if damage == "row_short" else m[:, :-1], layer)
+        self._load_fails(workspace, data, tmp_path, capsys, f"error: {path}: ")
 
     @pytest.mark.parametrize("damage,named,detail", [
         ("not_utf8", "meta.txt", "not UTF-8 text"),
@@ -255,6 +264,14 @@ class TestTrain:
         ("dup_n_train", "meta.txt", "line {last}: duplicate key 'n_train'"),
         ("no_equals", "meta.txt", "line {last}: expected key=value, got 'garbage line'"),
         ("extra_caption", "captions/3/extra.mat1", "expected a file named <number>.mat1"),
+        ("n_test=17", "meta.txt", "n_train + n_test = 48 + 17, but {data}/voxels.mat1 has 64 rows"),
+        ("image_dim=5", "layers/layer_1.mat1",
+         "shape (64, 24), expected (64, 20) (stimuli x image_tokens * image_dim of {data}/meta.txt)"),
+        ("text_dim=6", "captions/0/0.mat1",
+         "shape (4, 5), expected (4, 6) (text_tokens x text_dim of {data}/meta.txt)"),
+        ("one_caption_4x4", "captions/3/3.mat1", "shape (4, 4), expected (4, 5)"),
+        ("stimulus_captions_4x4", "captions/3/0.mat1", "shape (4, 4), expected (4, 5)"),
+        ("every_caption_4x4", "captions/0/0.mat1", "shape (4, 4), expected (4, 5)"),
     ])
     def test_malformed_meta_or_caption_named_exit_2(self, workspace, tmp_path, capsys, damage, named, detail):
         data = tmp_path / "data"
@@ -270,13 +287,18 @@ class TestTrain:
         elif damage in ("dup_n_train", "no_equals"):
             path.write_text(path.read_text() + ("n_train=7\n" if damage == "dup_n_train" else "garbage line\n"))
             detail = detail.format(last=len(path.read_text().splitlines()))
-        else:
+        elif damage == "extra_caption":
             shutil.copy(data / "captions" / "3" / "0.mat1", path)
-        code = main(["train", "--config", str(workspace / "train.cfg"), "--data", str(data),
-                     "--out", str(tmp_path / "run"), "--quiet"])
-        assert code == 2
-        assert f"error: {path}: {detail}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        elif "=" in damage:  # one meta.txt value changed; the file it no longer fits is named
+            key, meta = damage.split("=")[0], data / "meta.txt"
+            meta.write_text(re.sub(rf"(?m)^{key}=.*$", damage, meta.read_text()))
+            detail = detail.format(data=data)
+        else:  # captions rewritten as valid MAT1 files of another shape
+            captions = {"one_caption_4x4": [path], "stimulus_captions_4x4": (data / "captions" / "3").iterdir(),
+                        "every_caption_4x4": (data / "captions").rglob("*.mat1")}[damage]
+            for caption in list(captions):
+                save_matrix(np.ones((4, 4)), caption)
+        self._load_fails(workspace, data, tmp_path, capsys, f"error: {path}: {detail}")
 
 
 class TestEval:
@@ -516,62 +538,46 @@ def test_gradcheck_exit_zero(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-_RUN_COMMANDS = """
-import json, sys
+_RUN_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
 from voxalign.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv + ["--quiet"]) == 0, argv
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(commands):
-    """The scipy modules loaded once ``commands`` have run in a fresh interpreter."""
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: all six commands, ridge RSA included."""
+    (tmp_path / "gen.cfg").write_text(SMALL_GEN)
+    (tmp_path / "train.cfg").write_text(SMALL_TRAIN.replace("epochs=3", "epochs=1"))
+    (tmp_path / "scan.cfg").write_text("scan_ranges=2-4\nscan_epochs=1\nlatent_dim=8\n")
+    for mode in ("raw", "ridge"):
+        (tmp_path / f"{mode}.cfg").write_text(f"rsa_mode={mode}\n")
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "run" / "checkpoint")
+    commands = [
+        ["gen-data", "--config", str(tmp_path / "gen.cfg"), "--out", data],
+        ["train", "--config", str(tmp_path / "train.cfg"), "--data", data, "--out", str(tmp_path / "run")],
+        ["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "eval")],
+        ["backproject", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "bp")],
+        *(["analyze", "--mode", "rsa", "--config", str(tmp_path / f"{mode}.cfg"), "--data", data,
+           "--out", str(tmp_path / f"rsa-{mode}")] for mode in ("raw", "ridge")),
+        ["analyze", "--mode", "cka-heatmap", "--data", data, "--out", str(tmp_path / "cka")],
+        ["analyze", "--mode", "layer-scan", "--config", str(tmp_path / "scan.cfg"), "--data", data,
+         "--out", str(tmp_path / "scan")],
+        ["gradcheck"],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-class TestScipyLoadedOnlyByRidge:
-    """Only ridge RSA needs scipy, so no other command pays for its import."""
-
-    @pytest.fixture
-    def configs(self, tmp_path):
-        (tmp_path / "gen.cfg").write_text(SMALL_GEN)
-        (tmp_path / "train.cfg").write_text(SMALL_TRAIN.replace("epochs=3", "epochs=1"))
-        (tmp_path / "scan.cfg").write_text("scan_ranges=2-4\nscan_epochs=1\nlatent_dim=8\n")
-        for mode in ("raw", "ridge"):
-            (tmp_path / f"{mode}.cfg").write_text(f"rsa_mode={mode}\n")
-        data = str(tmp_path / "data")
-        gen = ["gen-data", "--config", str(tmp_path / "gen.cfg"), "--out", data]
-        return tmp_path, data, gen
-
-    def test_every_other_command_leaves_scipy_unloaded(self, configs):
-        root, data, gen = configs
-        ckpt = str(root / "run" / "checkpoint")
-        assert _scipy_modules_after([
-            gen,
-            ["train", "--config", str(root / "train.cfg"), "--data", data, "--out", str(root / "run")],
-            ["eval", "--ckpt", ckpt, "--data", data, "--out", str(root / "eval")],
-            ["backproject", "--ckpt", ckpt, "--data", data, "--out", str(root / "bp")],
-            ["analyze", "--mode", "rsa", "--config", str(root / "raw.cfg"), "--data", data,
-             "--out", str(root / "rsa")],
-            ["analyze", "--mode", "cka-heatmap", "--data", data, "--out", str(root / "cka")],
-            ["analyze", "--mode", "layer-scan", "--config", str(root / "scan.cfg"), "--data", data,
-             "--out", str(root / "scan")],
-            ["gradcheck"],
-        ]) == []
-
-    def test_ridge_rsa_loads_scipy(self, configs):
-        root, data, gen = configs
-        loaded = _scipy_modules_after([
-            gen,
-            ["analyze", "--mode", "rsa", "--config", str(root / "ridge.cfg"), "--data", data,
-             "--out", str(root / "rsa")],
-        ])
-        assert "scipy.linalg" in loaded

@@ -18,7 +18,7 @@ from voxalign.data import (
 )
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
 from voxalign.linalg import ridge_solve, spearman
-from voxalign.matio import save_matrix
+from voxalign.matio import load_matrix, save_matrix
 from voxalign.rng import Rng
 
 
@@ -277,7 +277,15 @@ class TestDatasetRoundTrip:
         root = tmp_path / "data"
         save_dataset(ds, root)
         save_matrix(np.ones((5, 3)), root / "projection.mat1")  # wrong output width
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=f"^{root}/projection.mat1: maps to width 3, "):
+            load_dataset(root)
+
+    def test_voxel_columns_must_match_the_mask(self, tmp_path):
+        root = tmp_path / "data"
+        save_dataset(make_stack_dataset(), root)
+        voxels = load_matrix(root / "voxels.mat1")
+        save_matrix(voxels[:, 1:], root / "voxels.mat1")
+        with pytest.raises(ShapeMismatch, match=f"^{root}/voxels.mat1: {voxels.shape[1] - 1} columns, but "):
             load_dataset(root)
 
 
@@ -335,7 +343,6 @@ class TestBatchedIOOracle:
     @pytest.mark.parametrize("fault,error", [
         ("empty", "caption list is empty"),
         ("ragged", "caption 1 has shape (2, 3), expected (3, 3)"),
-        ("other_shape", "all input arrays must have the same shape"),
         ("non_finite", "caption 0: contains non-finite entries"),
         ("vector", "caption 0: expected 2-D, got shape (9,)"),
     ])
@@ -347,8 +354,6 @@ class TestBatchedIOOracle:
             ds.captions[i] = []
         elif fault == "ragged":
             ds.captions[i][1] = np.ones((2, 3))
-        elif fault == "other_shape":
-            ds.captions[counts.index(1)] = [np.ones((4, 3))]
         elif fault == "non_finite":
             ds.captions[i][0] = np.full((3, 3), np.inf)
         else:
@@ -359,3 +364,10 @@ class TestBatchedIOOracle:
             ds.text_targets()
         assert str(got.value) == str(expected.value)
         assert error in str(got.value)
+
+    def test_text_targets_name_a_stimulus_of_another_caption_shape(self):
+        ds = synth_generate(small_cfg(text_tokens=3, text_dim=3))
+        i = [len(c) for c in ds.captions].index(1)
+        ds.captions[i] = [np.ones((4, 3))]
+        with pytest.raises(ShapeMismatch, match=rf"^stimulus {i}: captions have shape \(4, 3\), stimulus 0's have \(3, 3\)$"):
+            ds.text_targets()

@@ -1,6 +1,7 @@
 import lasso_reference as ref
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from voxalign.errors import DegenerateInput, NumericalFailure, ShapeMismatch
@@ -206,6 +207,21 @@ class TestRidgeSolve:
         with pytest.raises(NumericalFailure):
             ridge_solve(x, y, 0.0)
         ridge_solve(x, y, 1e-6)  # regularized succeeds
+
+    def test_refuses_the_gram_matrices_scipy_cholesky_refused(self):
+        """Rank 3 of 4 columns: whether rounding leaves the Gram matrix
+        positive definite varies by seed. ridge_solve fails exactly where
+        scipy's cho_factor did, including where an LU solve would not."""
+        for s in range(20):
+            x = Rng(s, "ridge-rank").normal(6, 3)
+            x = np.hstack([x, 3.0 * x[:, :1] + x[:, 1:2]])
+            try:
+                scipy.linalg.cho_factor(x.T @ x, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                with pytest.raises(NumericalFailure, match="Cholesky factorization failed"):
+                    ridge_solve(x, x[:, :2], 0.0)
+            else:
+                assert np.isfinite(ridge_solve(x, x[:, :2], 0.0)).all()
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

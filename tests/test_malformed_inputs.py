@@ -7,6 +7,9 @@ the original bytes back. Every damage must give exit status 2, an
 ``error:`` line that names the file (and the key or line where there is
 one), no traceback and no output directory.
 
+A layer or caption file rewritten as a valid MAT1 of another shape must
+fail the same way, and every valid dataset must still load.
+
 The same damages check the batched MAT1 reader against the per-file
 reference reader of ``data_reference``: both must raise the same message
 and offset, and a dataset with a damaged caption file or directory must
@@ -21,14 +24,16 @@ import struct
 from pathlib import Path
 
 import data_reference as ref
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxalign.cli import main
-from voxalign.data import load_dataset
+from voxalign.data import SynthConfig, load_dataset, save_dataset, synth_generate
 from voxalign.errors import FormatError
-from voxalign.matio import HEADER_SIZE, load_matrices, load_matrix
+from voxalign.matio import _HEADER, HEADER_SIZE, load_matrices, load_matrix, save_matrix
+from voxalign.rng import Rng
 
 TINY_GEN = """
 n_train=8
@@ -130,6 +135,54 @@ def test_damaged_mat1_file_named(tiny, data):
     content = data.draw(mat1_damage(path.read_bytes()), label="content")
     with _damaged(path, content):
         _eval_fails(tiny, f"error: {path}: ")
+
+
+@st.composite
+def reshaped_mat1(draw, raw: bytes):
+    """New bytes for a MAT1 file: a valid matrix of another shape."""
+    *header, rows, cols = _HEADER.unpack(raw[:HEADER_SIZE])
+    shape = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)).filter(lambda s: s != (rows, cols)))
+    value = draw(st.floats(-1e6, 1e6))
+    return _HEADER.pack(*header, *shape) + np.full(shape, value, "<f8").tobytes()
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_reshaped_layer_or_caption_named(tiny, data):
+    """A layer or caption file of another shape than meta.txt gives is named."""
+    files = [f for f in _mat1_files(tiny) if f.startswith(("data/layers/", "data/captions/"))]
+    path = tiny / data.draw(st.sampled_from(files), label="file")
+    with _damaged(path, data.draw(reshaped_mat1(path.read_bytes()), label="content")):
+        _eval_fails(tiny, f"error: {path}: shape ")
+
+
+@EXAMPLES
+@given(
+    n_train=st.integers(1, 6), n_test=st.integers(1, 4),
+    text=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    image=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    projected_from=st.integers(0, 3),
+)
+def test_every_valid_dataset_loads(tmp_path_factory, n_train, n_test, text, image, projected_from):
+    """The shape checks reject no valid dataset, one with ``projection.mat1``
+    (from `projected_from` features per token, 0 for none) included; the
+    arrays are the per-file loader's."""
+    ds = synth_generate(SynthConfig(
+        n_train=n_train, n_test=n_test, n_low_voxels=3, n_high_voxels=2, k_semantic=2, k_detail=2,
+        text_tokens=text[0], text_dim=text[1], image_tokens=image[0], image_dim=image[1],
+    ))
+    root = tmp_path_factory.mktemp("valid")
+    save_dataset(ds, root)
+    if projected_from:
+        rng = Rng(projected_from, "wide")
+        for layer_id in ds.layers.layer_ids:
+            save_matrix(rng.child(str(layer_id)).normal(ds.n, image[0] * projected_from),
+                        root / "layers" / f"layer_{layer_id}.mat1")
+        save_matrix(rng.child("p").normal(projected_from, image[1]), root / "projection.mat1")
+    got, expected = load_dataset(root), ref.load_dataset(root)
+    for a, b in zip(got.layers.features + (got.voxels,), expected.layers.features + (expected.voxels,)):
+        assert a.tobytes() == b.tobytes()
+    assert got.text_targets().tobytes() == expected.text_targets().tobytes()
 
 
 @EXAMPLES
