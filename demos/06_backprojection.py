@@ -20,10 +20,9 @@ vox_sem, vox_det = split_regions(dataset.voxels, dataset.mask)
 fwd = image_branch_forward(vox_sem[tr], vox_det[tr], params)
 
 print("back-projecting 128 latent dimensions per branch (lambda = 0.01)...")
-results = {
-    "image_detail": backproject(fwd.code_det, dataset.voxels[tr], dataset.mask, 0.01),
-    "image_semantic": backproject(fwd.code_sem, dataset.voxels[tr], dataset.mask, 0.01),
-}
+results = backproject(
+    {"image_detail": fwd.code_det, "image_semantic": fwd.code_sem}, dataset.voxels[tr], dataset.mask, 0.01
+)
 
 print()
 print("branch           mean |beta| low    mean |beta| high    low/high ratio")

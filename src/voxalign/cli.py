@@ -280,9 +280,7 @@ def cmd_backproject(args, out: Path) -> int:
     voxels_sem, voxels_det = split_regions(dataset.voxels, dataset.mask)
     voxels_train = dataset.voxels[tr]
 
-    feature_sets = {}
-    text_fwd = text_branch_forward(voxels_sem[tr], params)
-    feature_sets["text_semantic"] = text_fwd.code
+    feature_sets = {"text_semantic": text_branch_forward(voxels_sem[tr], params).code}
     paths = image_paths(params.variant)
     if paths:
         image_fwd = image_branch_forward(voxels_sem[tr], voxels_det[tr], params)
@@ -291,8 +289,8 @@ def cmd_backproject(args, out: Path) -> int:
         if "det" in paths:
             feature_sets["image_detail"] = image_fwd.code_det
 
-    for name in sorted(feature_sets):
-        result = backproject(feature_sets[name], voxels_train, dataset.mask, args.lasso_lambda)
+    results = backproject(feature_sets, voxels_train, dataset.mask, args.lasso_lambda)
+    for name, result in sorted(results.items()):
         lines = ["region,mean_abs_beta"]
         for region in ("low_level", "high_level"):
             lines.append(f"{region},{format(result.region_means[region], '.9g')}")

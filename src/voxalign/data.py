@@ -178,9 +178,9 @@ class Dataset:
         Stimuli with the same caption count are averaged in one ``np.mean``,
         which gives the bits of :func:`average_captions` per stimulus. A
         caption list that is empty, ragged or not finite goes through
-        :func:`average_captions`, which names the fault; a stimulus whose
-        captions differ in shape from stimulus 0's raises
-        :class:`ShapeMismatch` naming it.
+        :func:`average_captions`, whose fault is raised prefixed with
+        ``stimulus i: ``; a stimulus whose captions differ in shape from
+        stimulus 0's raises :class:`ShapeMismatch` naming it.
         """
         counts = np.array([len(c) for c in self.captions])
         try:
@@ -188,7 +188,12 @@ class Dataset:
         except ValueError:  # no captions at all, or captions of different shapes
             flat = None
         if flat is None or flat.ndim != 3 or not flat.size or counts.min() < 1 or not np.isfinite(flat).all():
-            means = [average_captions(c) for c in self.captions]
+            means = []
+            for i, captions in enumerate(self.captions):
+                try:
+                    means.append(average_captions(captions))
+                except (DegenerateInput, ShapeMismatch) as exc:
+                    raise type(exc)(f"stimulus {i}: {exc}") from exc
             for i, mean in enumerate(means):
                 if mean.shape != means[0].shape:
                     raise ShapeMismatch(

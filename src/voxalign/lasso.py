@@ -207,18 +207,21 @@ class BackprojectResult:
     n_unconverged: int
 
 
-def backproject(features, voxels, mask: RegionMask, lam: float) -> BackprojectResult:
-    """Map branch features back to voxel space with one lasso per feature dim.
+def backproject(feature_sets: dict, voxels, mask: RegionMask, lam: float) -> dict:
+    """Map named branch feature sets back to voxel space with one lasso per feature dim.
 
     Every feature dimension is regressed on the voxels (features as
     responses, voxels as predictors); the absolute coefficients are
-    averaged over feature dimensions per voxel and then averaged within
-    the low-level and high-level regions.
+    averaged over a set's dimensions per voxel and then within the
+    low-level and high-level regions. All sets share one :func:`lasso_fit`
+    call, whose columns keep the bits of fits on their own, so each set's
+    result (keyed like ``feature_sets``) is that of a call with it alone.
     """
-    f = as_matrix(features, "features")
     v = as_matrix(voxels, "voxels")
-    if f.shape[0] != v.shape[0]:
-        raise ShapeMismatch(f"features have {f.shape[0]} rows, voxels {v.shape[0]}")
+    sets = {name: as_matrix(f, name) for name, f in feature_sets.items()}
+    for name, f in sets.items():
+        if f.shape[0] != v.shape[0]:
+            raise ShapeMismatch(f"{name}: features have {f.shape[0]} rows, voxels {v.shape[0]}")
     if v.shape[1] != mask.n_detail:
         raise ShapeMismatch(
             f"voxels have {v.shape[1]} columns, mask lists {mask.n_detail}"
@@ -226,18 +229,21 @@ def backproject(features, voxels, mask: RegionMask, lam: float) -> BackprojectRe
     try:
         # Looked up on the module, where the benchmark's tracer counts fits
         # and sweeps.
-        fit = lasso_fit(v, f, lam)
+        fit = lasso_fit(v, np.concatenate(list(sets.values()), axis=1), lam)
     except DegenerateInput as exc:
         raise DegenerateInput(f"voxels: {exc}") from exc
-    # Summed column by column in feature order, as one fit per column would.
-    abs_beta = np.abs(fit.beta)
-    abs_sum = np.zeros(v.shape[1])
-    for k in range(f.shape[1]):
-        abs_sum += abs_beta[:, k]
-    n_unconverged = int((~fit.column_converged).sum())
-    per_voxel = abs_sum / f.shape[1]
-    region_means = {
-        "low_level": float(per_voxel[mask.low_indices].mean()) if mask.n_low else 0.0,
-        "high_level": float(per_voxel[mask.high_indices].mean()),
-    }
-    return BackprojectResult(per_voxel, region_means, n_unconverged)
+    bounds = np.cumsum([f.shape[1] for f in sets.values()])[:-1]
+    parts = zip(sets.items(), np.split(np.abs(fit.beta), bounds, axis=1), np.split(fit.column_converged, bounds))
+    results = {}
+    for (name, f), abs_beta, converged in parts:
+        # Summed column by column in feature order, as one fit per column would.
+        abs_sum = np.zeros(v.shape[1])
+        for k in range(f.shape[1]):
+            abs_sum += abs_beta[:, k]
+        per_voxel = abs_sum / f.shape[1]
+        region_means = {
+            "low_level": float(per_voxel[mask.low_indices].mean()) if mask.n_low else 0.0,
+            "high_level": float(per_voxel[mask.high_indices].mean()),
+        }
+        results[name] = BackprojectResult(per_voxel, region_means, int((~converged).sum()))
+    return results

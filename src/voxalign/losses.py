@@ -532,25 +532,30 @@ def grad_check(f, point, h: float = 1e-5) -> float:
 
 
 def _central_differences(values_at, point: np.ndarray, analytic: np.ndarray, h: float) -> float:
-    """The loop behind :func:`grad_check`: worst relative error of `analytic` at `point`.
+    """The loop behind :func:`grad_check`: one ``values_at`` call scores the whole :func:`_perturbed_stack`."""
+    return _worst_relative_error(values_at(_perturbed_stack(point, h)), analytic, h)
 
-    Every perturbed point is scored in one call, ``values_at(stack)``, which
-    returns one value per row of the ``(2 * point.size, *point.shape)``
-    stack: for each coordinate in ``np.ndindex`` order, a copy of `point`
-    moved by +h, then one moved by -h.
+
+def _perturbed_stack(point: np.ndarray, h: float) -> np.ndarray:
+    """For each coordinate of `point` in ``np.ndindex`` order, a copy moved by +h, then one moved by -h."""
+    stack = np.repeat(point[None], 2 * point.size, axis=0)
+    rows, view = np.arange(point.size), stack.reshape(point.size, 2, point.size)
+    view[rows, 0, rows] += h
+    view[rows, 1, rows] -= h
+    return stack
+
+
+def _worst_relative_error(values, analytic: np.ndarray, h: float) -> float:
+    """:func:`grad_check`'s error from the values of a :func:`_perturbed_stack`, one per row.
+
+    A non-finite value raises :class:`NumericalFailure` naming the coordinate it moved.
     """
-    indices = list(np.ndindex(point.shape))
-    stack = np.repeat(point[None], 2 * len(indices), axis=0)
-    for k, idx in enumerate(indices):
-        stack[(2 * k, *idx)] += h
-        stack[(2 * k + 1, *idx)] -= h
-    values = [float(v) for v in values_at(stack)]
-    worst = 0.0
-    for k, idx in enumerate(indices):
-        f_plus, f_minus = values[2 * k], values[2 * k + 1]
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericalFailure(f"non-finite evaluation at index {idx}")
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic[idx])
-        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-    return worst
+    pairs = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+    if bad.size:
+        idx = tuple(int(i) for i in np.unravel_index(bad[0], np.shape(analytic)))
+        raise NumericalFailure(f"non-finite evaluation at index {idx}")
+    numeric = (pairs[:, 0] - pairs[:, 1]) / (2.0 * h)
+    a = np.asarray(analytic, dtype=np.float64).ravel()
+    errors = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+    return float(errors.max(initial=0.0))

@@ -5,14 +5,14 @@ differences (step 1e-5) across many seeded random instances. Pure-MSE
 paths are held to 1e-6 relative error; paths through cosine
 normalizations to 1e-5; paths through the CKA quotient to 1e-4.
 
-Both suites run the one central-difference loop behind
-:func:`~voxalign.losses.grad_check`, which stacks the 2·size perturbed
-points of a check and scores them in one call. A loss-suite check scores
-its stack with one batched loss call and takes its analytic gradient from
-the public single-sample function. The model suite replays each
-parameter tensor's whole stack of perturbed points in one forward, with
-the stack as a leading axis of that tensor, and scores the stacked
-outputs with one batched loss call.
+Both suites share the stack builder and the error reduction of
+:func:`~voxalign.losses.grad_check`, and score every stack that shares a
+loss and its arguments in one batched loss call. A loss-suite group (the
+checks of one loss and argument set) takes its analytic gradients from
+one call of the public single-sample function. The model suite replays
+each parameter tensor's stack of perturbed points in one forward, with
+the stack as a leading axis of that tensor, and scores all of a branch's
+replays in one call.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ import numpy as np
 from .data import fuse_targets
 # grad_check is not called here; perfbench/spans.py traces it in this module.
 from .losses import (
-    _central_differences,
+    ANCHOR_MODES,
     _cka,
     _crec,
     _mg,
     _mse,
+    _perturbed_stack,
     _sims,
+    _worst_relative_error,
     cka_loss,
     crec_loss,
     grad_check,
@@ -84,57 +86,29 @@ _LOSS_THRESHOLDS = {
 }
 
 
-def _arg_check(loss, score, args: dict, name: str, field: str) -> float:
-    """Central differences of `score` in argument `name`, against the `field` of ``loss(**args)``.
+def _errors(values, stacks: list, analytics: list, h: float = FD_STEP) -> list:
+    """The error of each stack's slice of `values`, the scores of the stacks' row-concatenation."""
+    slices = np.split(np.asarray(values), np.cumsum([len(stack) for stack in stacks])[:-1])
+    return [_worst_relative_error(v, a, h) for v, a in zip(slices, analytics)]
 
-    ``score`` takes the arguments of ``loss`` with a leading sample axis on
-    every array and returns the per-sample values, so one call scores the
-    whole stack of perturbed points; the other arrays are repeated along
-    that axis.
+
+def _group_errors(loss, score, args: dict, checks: list) -> list:
+    """The error of each of a group's `checks`, from one ``loss(**args)`` and one `score` call.
+
+    Each array of the `score` call stacks, check by check, the check's perturbed
+    points where it is the check's argument, or copies of it where it is not.
     """
-    analytic = getattr(loss(**args), field)
+    analytic = loss(**args)
+    stacks = [_perturbed_stack(args[name], FD_STEP) for _, name, _ in checks]
 
-    def values_at(stack):
-        n = len(stack)
-        return score(**{k: stack if k == name else _repeat(v, n) for k, v in args.items()})
+    def column(key, value):
+        return np.concatenate([
+            stack if key == name else np.repeat(value[None], len(stack), axis=0)
+            for (_, name, _), stack in zip(checks, stacks)
+        ])
 
-    return _central_differences(values_at, args[name], analytic, FD_STEP)
-
-
-def _repeat(x, n: int):
-    """`n` copies of array `x` stacked along a new leading axis; other values pass."""
-    return np.repeat(x[None], n, axis=0) if isinstance(x, np.ndarray) else x
-
-
-# Batched scorers of the loss-suite checks: the public function's arguments
-# with a leading sample axis in, per-sample values out. Each runs the kernel
-# that the public single-sample function runs on a batch of one.
-def _mse_values(target, pred):
-    return _mse(target, pred)[0]
-
-
-def _sims_values(target, pred, anchor):
-    return _sims(target, pred, anchor, batched=True)[0]
-
-
-def _cka_values(target, pred):
-    return _cka(target, pred, batched=True)[0]
-
-
-def _mg_values(target, pred):
-    return _mg(target, pred, "own_first_token", 1.0, 1.0, batched=True).value
-
-
-def _crec_values(**arrays):
-    return _crec(arrays, len(arrays["voxels_sem"]), batched=True).value
-
-
-def _text_total_values(**args):
-    return text_total_loss(**args).value
-
-
-def _image_total_values(**args):
-    return image_total_loss(**args).value
+    values = score(**{k: column(k, v) if isinstance(v, np.ndarray) else v for k, v in args.items()})
+    return _errors(values, stacks, [getattr(analytic, field) for _, _, field in checks])
 
 
 def _crec_args(rng: Rng) -> dict:
@@ -150,8 +124,8 @@ def _crec_args(rng: Rng) -> dict:
     )
 
 
-def _loss_checks(s: int) -> list:
-    """Seed `s`'s loss-suite checks: (check, loss, batched scorer, args, argument, gradient field)."""
+def _loss_groups(s: int) -> list:
+    """Seed `s`'s loss-suite checks by group: (loss, batched scorer, args, [(check, argument, gradient field)])."""
     rng = Rng(1000 + s, "gradcheck")
     m = 3 + s % 5  # token counts 3..7
     d = 2 + s % 6  # widths 2..7
@@ -174,18 +148,37 @@ def _loss_checks(s: int) -> list:
         **_crec_args(image_rng),
     )
     wide = dict(target=target, pred=rng.child("pred_wide").normal(m, d + 1))
+    recons = [(r, f"grad_{r}") for r in IMAGE_RECONS]
+    # A batched scorer takes the loss's arguments with a leading sample axis
+    # and returns per-sample values, from the kernel that the public
+    # single-sample function runs on a batch of one.
     return [
-        ("mse", mse_loss, _mse_values, pair, "pred", "grad"),
-        ("sims/own_first_token", sims_loss, _sims_values, {**pair, "anchor": "own_first_token"}, "pred", "grad"),
-        ("sims/target_first_token", sims_loss, _sims_values, {**pair, "anchor": "target_first_token"}, "pred", "grad"),
-        ("cka", cka_loss, _cka_values, wide, "pred", "grad"),
-        ("mg", mg_loss, _mg_values, pair, "pred", "grad"),
-        *[("crec", crec_loss, _crec_values, crec, r, f"grad_{r}") for r in IMAGE_RECONS],
-        ("text_total/pred_emb", text_total_loss, _text_total_values, text, "text_pred", "grad_pred_emb"),
-        ("text_total/recon", text_total_loss, _text_total_values, text, "recon_sem", "grad_recon_sem"),
-        ("image_total/pred_sem", image_total_loss, _image_total_values, image, "pred_sem_emb", "grad_pred_sem_emb"),
-        ("image_total/pred_det", image_total_loss, _image_total_values, image, "pred_det_emb", "grad_pred_det_emb"),
-        *[("image_total/recons", image_total_loss, _image_total_values, image, r, f"grad_{r}") for r in IMAGE_RECONS],
+        (mse_loss, lambda target, pred: _mse(target, pred)[0], pair, [("mse", "pred", "grad")]),
+        *[(sims_loss, lambda target, pred, anchor: _sims(target, pred, anchor, batched=True)[0],
+           {**pair, "anchor": anchor}, [(f"sims/{anchor}", "pred", "grad")]) for anchor in ANCHOR_MODES],
+        (cka_loss, lambda target, pred: _cka(target, pred, batched=True)[0], wide, [("cka", "pred", "grad")]),
+        (mg_loss, lambda target, pred: _mg(target, pred, "own_first_token", 1.0, 1.0, batched=True).value,
+         pair, [("mg", "pred", "grad")]),
+        (crec_loss, lambda **a: _crec(a, len(a["voxels_sem"]), batched=True).value, crec,
+         [("crec", *r) for r in recons]),
+        (text_total_loss, lambda **a: text_total_loss(**a).value, text, [
+            ("text_total/pred_emb", "text_pred", "grad_pred_emb"),
+            ("text_total/recon", "recon_sem", "grad_recon_sem"),
+        ]),
+        (image_total_loss, lambda **a: image_total_loss(**a).value, image, [
+            ("image_total/pred_sem", "pred_sem_emb", "grad_pred_sem_emb"),
+            ("image_total/pred_det", "pred_det_emb", "grad_pred_det_emb"),
+            *[("image_total/recons", *r) for r in recons],
+        ]),
+    ]
+
+
+def _loss_errors(s: int) -> list:
+    """Seed `s`'s loss-suite errors: (check, argument, error) per check, in group order."""
+    return [
+        (check, name, error)
+        for loss, score, args, checks in _loss_groups(s)
+        for (check, name, _), error in zip(checks, _group_errors(loss, score, args, checks))
     ]
 
 
@@ -193,8 +186,8 @@ def loss_gradient_suite(n_seeds: int = 20) -> list:
     """Finite-difference checks for every loss, maximized over seeds."""
     worst = dict.fromkeys(_LOSS_THRESHOLDS, 0.0)
     for s in range(n_seeds):
-        for check, *row in _loss_checks(s):
-            worst[check] = max(worst[check], _arg_check(*row))
+        for check, _, error in _loss_errors(s):
+            worst[check] = max(worst[check], error)
     return [CheckResult(name, worst[name], threshold) for name, threshold in _LOSS_THRESHOLDS.items()]
 
 
@@ -217,18 +210,14 @@ def _max_param_error(params, grads: dict, forward, score, h: float = FD_STEP) ->
 
     All perturbed copies of a tensor run in one forward: ``forward(stacked)``
     gets a :class:`~voxalign.model._StackedParams` whose tensor ``name`` is the
-    whole ``(K, *shape)`` stack of perturbed points (a bias as ``(K, 1, b)``),
-    and ``score(fwd, K)`` returns the K values of that forward. ``params`` is
-    never modified.
+    whole ``(K, *shape)`` stack of perturbed points (a bias as ``(K, 1, b)``).
+    One call ``score(fwds)``, a ``(forward, K)`` pair per tensor in name order,
+    returns the forwards' values concatenated. ``params`` is never modified.
     """
-    worst = 0.0
-    for name in sorted(grads):
-
-        def values_at(stack):
-            return score(forward(_StackedParams.of(params, name, stack)), len(stack))
-
-        worst = max(worst, _central_differences(values_at, params.tensors[name], grads[name], h))
-    return worst
+    names = sorted(grads)
+    stacks = [_perturbed_stack(params.tensors[name], h) for name in names]
+    fwds = [(forward(_StackedParams.of(params, name, stack)), len(stack)) for name, stack in zip(names, stacks)]
+    return max(_errors(score(fwds), stacks, [grads[name] for name in names], h), default=0.0)
 
 
 def _fd_safe(caches, *outputs) -> bool:
@@ -274,16 +263,18 @@ def _forward(branch: str, params, voxels: tuple, **replay):
     return image_branch_forward(*voxels, params, **replay)
 
 
-def _branch_loss(branch: str, fwd, k: int, voxels: tuple, targets: dict):
-    """One batched loss call scoring a forward of the batch of one sample as `k` samples.
+def _branch_loss(branch: str, fwds: list, voxels: tuple, targets: dict):
+    """One batched loss call scoring forwards of the batch of one sample, `k` samples each.
 
-    A stacked replay's outputs have one row per perturbed point; an output
-    upstream of the perturbed tensor has one row and is repeated to `k`, as
-    are the voxels and targets.
+    ``fwds`` holds ``(forward, k)`` pairs. A stacked replay's outputs have one
+    row per perturbed point; an output upstream of the perturbed tensor has
+    one row and is repeated to its forward's `k`. The voxels and targets are
+    repeated to the total of the `k`.
     """
-    out = {f: _rows(getattr(fwd, f), k) for f in SCORED_OUTPUTS[branch]}
-    vox = [_rows(v, k) for v in voxels]
-    tgt = {key: _rows(t, k) for key, t in targets.items()}
+    out = {f: np.concatenate([_rows(getattr(fwd, f), k) for fwd, k in fwds]) for f in SCORED_OUTPUTS[branch]}
+    n = sum(k for _, k in fwds)
+    vox = [_rows(v, n) for v in voxels]
+    tgt = {key: _rows(t, n) for key, t in targets.items()}
     if branch == "text":
         return text_total_loss(tgt["text"], out["pred_emb"], vox[0], out["recon_sem"])
     return image_total_loss(
@@ -298,7 +289,12 @@ def _rows(x, k: int):
 
 
 def _safe_draw(cfg: ModelConfig, s: int) -> tuple:
-    """Seed `s`'s first finite-difference-safe draw: (its rng, params, voxels, training forwards by branch)."""
+    """Seed `s`'s first finite-difference-safe draw: (its rng, params, voxels, training forwards by branch).
+
+    The image branch is run and screened only on a draw whose text branch is
+    safe; labelled streams do not depend on creation order, so this skip
+    changes no other draw.
+    """
     base = Rng(2000 + s, "model-gradcheck")
     for attempt in range(300):
         rng = base.child(f"attempt-{attempt}")
@@ -307,13 +303,32 @@ def _safe_draw(cfg: ModelConfig, s: int) -> tuple:
             rng.child("vox_sem").normal(1, cfg.n_semantic_voxels),
             rng.child("vox_det").normal(1, cfg.n_detail_voxels),
         )
-        fwds = {b: _forward(b, params, voxels, rng=rng.child(f"{b}-masks")) for b in _PREDICTIONS}
-        if all(
-            _fd_safe(fwds[b].caches, *(getattr(fwds[b], p) for p in preds))
-            for b, preds in _PREDICTIONS.items()
-        ):
+        fwds = {}
+        for b, preds in _PREDICTIONS.items():
+            fwds[b] = _forward(b, params, voxels, rng=rng.child(f"{b}-masks"))
+            if not _fd_safe(fwds[b].caches, *(getattr(fwds[b], p) for p in preds)):
+                break
+        else:
             return rng, params, voxels, fwds
     raise RuntimeError("no finite-difference-safe draw found")  # pragma: no cover
+
+
+def _targets(cfg: ModelConfig, rng: Rng) -> dict:
+    """A draw's embedding targets, each a batch of one sample."""
+    sem, det = (rng.child(f"{path}_target").normal(cfg.image_tokens, cfg.image_dim) for path in ("sem", "det"))
+    text = rng.child("text_target").normal(cfg.text_tokens, cfg.text_dim)
+    return {"text": text[None], "fused": fuse_targets(sem, det)[None], "sem": sem[None], "det": det[None]}
+
+
+def _branch_check(branch: str, params, fwd, voxels: tuple, targets: dict) -> tuple:
+    """The arguments of :func:`_max_param_error` for one branch: analytic gradients
+    from the backward of the training forward `fwd`, replays of its dropout masks."""
+    masks = collect_masks(fwd.caches)
+    loss = _branch_loss(branch, [(fwd, 1)], voxels, targets)
+    backward = text_branch_backward if branch == "text" else image_branch_backward
+    grads = backward(params, fwd, **{k: v for k, v in vars(loss).items() if k.startswith("grad_")})
+    return (params, grads, lambda stacked: _forward(branch, stacked, voxels, masks=masks),
+            lambda fwds: _branch_loss(branch, fwds, voxels, targets).value)
 
 
 def model_gradient_suite(n_seeds: int = 20) -> list:
@@ -329,26 +344,9 @@ def model_gradient_suite(n_seeds: int = 20) -> list:
     worst = dict.fromkeys(_PREDICTIONS, 0.0)
     for s in range(n_seeds):
         rng, params, voxels, fwds = _safe_draw(cfg, s)
-        sem_target = rng.child("sem_target").normal(cfg.image_tokens, cfg.image_dim)
-        det_target = rng.child("det_target").normal(cfg.image_tokens, cfg.image_dim)
-        targets = {
-            "text": rng.child("text_target").normal(cfg.text_tokens, cfg.text_dim)[None],
-            "fused": fuse_targets(sem_target, det_target)[None],
-            "sem": sem_target[None],
-            "det": det_target[None],
-        }
+        targets = _targets(cfg, rng)
         for branch, fwd in fwds.items():
-            masks = collect_masks(fwd.caches)
-            loss = _branch_loss(branch, fwd, 1, voxels, targets)
-            backward = text_branch_backward if branch == "text" else image_branch_backward
-            grads = backward(params, fwd, **{k: v for k, v in vars(loss).items() if k.startswith("grad_")})
-            error = _max_param_error(
-                params,
-                grads,
-                lambda stacked: _forward(branch, stacked, voxels, masks=masks),
-                lambda stacked_fwd, k: _branch_loss(branch, stacked_fwd, k, voxels, targets).value,
-            )
-            worst[branch] = max(worst[branch], error)
+            worst[branch] = max(worst[branch], _max_param_error(*_branch_check(branch, params, fwd, voxels, targets)))
     return [CheckResult(f"model/{branch}_branch", error, 1e-4) for branch, error in worst.items()]
 
 

@@ -310,8 +310,8 @@ def test_criterion_8_lasso_correctness(desk_datasets, trained_full):
         tr = ds.train_slice
         vox_sem, vox_det = split_regions(ds.voxels, ds.mask)
         fwd = image_branch_forward(vox_sem[tr], vox_det[tr], params)
-        det = backproject(fwd.code_det, ds.voxels[tr], ds.mask, 0.01).region_means
-        sem = backproject(fwd.code_sem, ds.voxels[tr], ds.mask, 0.01).region_means
+        results = backproject({"det": fwd.code_det, "sem": fwd.code_sem}, ds.voxels[tr], ds.mask, 0.01)
+        det, sem = results["det"].region_means, results["sem"].region_means
         det_ratio = det["low_level"] / det["high_level"]
         sem_ratio = sem["low_level"] / sem["high_level"]
         if det_ratio > sem_ratio:

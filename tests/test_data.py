@@ -362,7 +362,9 @@ class TestBatchedIOOracle:
             _caption_means(ds)
         with pytest.raises(type(expected.value)) as got:
             ds.text_targets()
-        assert str(got.value) == str(expected.value)
+        # The per-stimulus oracle's fault, named by the first stimulus that has it.
+        stimulus = 0 if fault == "vector" else i
+        assert str(got.value) == f"stimulus {stimulus}: {expected.value}"
         assert error in str(got.value)
 
     def test_text_targets_name_a_stimulus_of_another_caption_shape(self):

@@ -184,12 +184,17 @@ class TestColumnSolver:
             assert kkt_violation(x, y[:, col], off) > 1e-3
 
 
+def backproject_one(features, voxels, mask, lam):
+    """The result of back-projecting one feature set on its own."""
+    return backproject({"f": features}, voxels, mask, lam)["f"]
+
+
 class TestBackproject:
     def test_zero_features_zero_betas(self):
         mask = RegionMask.blocks(3, 2)
         voxels = Rng(6, "bp").normal(20, 5)
         features = np.zeros((20, 4))
-        result = backproject(features, voxels, mask, 0.1)
+        result = backproject_one(features, voxels, mask, 0.1)
         np.testing.assert_array_equal(result.per_voxel_mean_abs_beta, np.zeros(5))
         assert result.region_means == {"low_level": 0.0, "high_level": 0.0}
 
@@ -198,7 +203,7 @@ class TestBackproject:
         mask = RegionMask.blocks(4, 3)
         voxels = Rng(7, "bp").normal(60, 7)
         features = voxels[:, [1]]  # a low-level voxel
-        result = backproject(features, voxels, mask, 0.001)
+        result = backproject_one(features, voxels, mask, 0.001)
         assert result.region_means["low_level"] >= 10 * result.region_means["high_level"]
 
     @pytest.mark.parametrize("lam", [1e-4, 0.01, 0.2])
@@ -206,11 +211,33 @@ class TestBackproject:
         mask = RegionMask.blocks(6, 5)
         voxels, _ = column_problem(12, 48, 11, 1)
         features = np.tanh(voxels @ Rng(12, "bp-w").normal(11, 9)) + Rng(12, "bp-e").normal(48, 9)
-        result = backproject(features, voxels, mask, lam)
+        result = backproject_one(features, voxels, mask, lam)
         per_voxel, n_unconverged = ref.per_voxel_mean_abs_beta(features, voxels, lam)
         assert result.per_voxel_mean_abs_beta.tobytes() == per_voxel.tobytes()
         assert result.n_unconverged == n_unconverged
         assert result.region_means["low_level"] == float(per_voxel[:6].mean())
+
+    @pytest.mark.parametrize("max_sweeps,any_unconverged", [(lasso.MAX_SWEEPS, False), (4, True)])
+    def test_each_set_matches_a_call_of_its_own(self, monkeypatch, max_sweeps, any_unconverged):
+        # A small sweep budget leaves some columns unconverged.
+        monkeypatch.setattr(lasso, "MAX_SWEEPS", max_sweeps)
+        mask = RegionMask.blocks(6, 5)
+        voxels, _ = column_problem(21, 48, 11, 1)
+        sets = {
+            name: np.tanh(voxels @ Rng(21, f"{name}-w").normal(11, width)) + Rng(21, f"{name}-e").normal(48, width)
+            for name, width in (("b", 5), ("a", 3), ("c", 7))
+        }
+        results = backproject(sets, voxels, mask, 0.01)
+        assert list(results) == list(sets)
+        unconverged = 0
+        for name, features in sets.items():
+            alone = backproject_one(features, voxels, mask, 0.01)
+            got = results[name]
+            assert got.per_voxel_mean_abs_beta.tobytes() == alone.per_voxel_mean_abs_beta.tobytes(), name
+            assert got.region_means == alone.region_means, name
+            assert got.n_unconverged == alone.n_unconverged, name
+            unconverged += got.n_unconverged
+        assert (unconverged > 0) == any_unconverged
 
     @pytest.mark.parametrize("col,values", [
         (3, {row: 0.7 for row in range(20)}),  # the mean rounds off 0.7
@@ -223,9 +250,9 @@ class TestBackproject:
         for row, value in values.items():
             voxels[row, col] = value
         with pytest.raises(DegenerateInput, match=f"predictor column {col} is constant"):
-            backproject(Rng(14, "bp").normal(20, 4), voxels, mask, 0.1)
+            backproject_one(Rng(14, "bp").normal(20, 4), voxels, mask, 0.1)
 
-    def test_one_lasso_fit_call_per_feature_set(self, monkeypatch):
+    def test_one_lasso_fit_call_for_all_feature_sets(self, monkeypatch):
         # Fits go through the module's lasso_fit, where a tracer can count them.
         calls = []
 
@@ -235,10 +262,11 @@ class TestBackproject:
 
         monkeypatch.setattr(lasso, "lasso_fit", counted)
         mask = RegionMask.blocks(3, 2)
-        backproject(Rng(17, "bp").normal(20, 4), Rng(18, "bp").normal(20, 5), mask, 0.1)
-        assert calls == [(20, 4)]
+        sets = {"a": Rng(17, "bp").normal(20, 4), "b": Rng(19, "bp").normal(20, 3)}
+        backproject(sets, Rng(18, "bp").normal(20, 5), mask, 0.1)
+        assert calls == [(20, 7)]
 
-    def test_feature_row_mismatch(self):
+    def test_feature_row_mismatch_names_the_set(self):
         mask = RegionMask.blocks(2, 2)
-        with pytest.raises(ShapeMismatch):
-            backproject(np.ones((5, 2)), np.ones((6, 4)), mask, 0.1)
+        with pytest.raises(ShapeMismatch, match="^b: features have 5 rows, voxels 6$"):
+            backproject({"a": np.ones((6, 2)), "b": np.ones((5, 2))}, np.ones((6, 4)), mask, 0.1)

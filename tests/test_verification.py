@@ -1,15 +1,17 @@
 """Tests of the gradient verification suites themselves."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+import verification_reference as ref
 
 from voxalign import verification
 from voxalign.cli import main
 from voxalign.errors import NumericalFailure
-from voxalign.losses import LossValueGrad, _central_differences
-from voxalign.model import SCORED_OUTPUTS, _StackedParams, collect_masks, expected_tensors, init_params
+from voxalign.losses import LossValueGrad, _central_differences, _perturbed_stack
+from voxalign.model import IMAGE_RECONS, SCORED_OUTPUTS, _StackedParams, collect_masks, expected_tensors, init_params
 from voxalign.rng import Rng
 
 # run_all(n_seeds=2), exactly. The model suite's minus point is x - h, as in
@@ -31,6 +33,23 @@ TWO_SEED_ERRORS = {
     "model/image_branch": "0x1.d241dc0b38179p-24",
 }
 
+# run_all(n_seeds=20), the gradcheck command's suites, exactly.
+TWENTY_SEED_ERRORS = {
+    "mse": "0x1.1c2624816b05ap-23",
+    "sims/own_first_token": "0x1.47b058e678accp-25",
+    "sims/target_first_token": "0x1.30a7d9d369720p-26",
+    "cka": "0x1.bc507fc55a078p-24",
+    "mg": "0x1.1e9f28b1a3f67p-22",
+    "crec": "0x1.7304a009569e2p-29",
+    "text_total/pred_emb": "0x1.0fb4a0702fba0p-21",
+    "text_total/recon": "0x1.8340ff392141ep-28",
+    "image_total/pred_sem": "0x1.606cd92af2ac3p-25",
+    "image_total/pred_det": "0x1.dbce52c8e3f9fp-24",
+    "image_total/recons": "0x1.27c6a39c3385ap-21",
+    "model/text_branch": "0x1.c3c1167c50681p-24",
+    "model/image_branch": "0x1.557d370044e9fp-23",
+}
+
 GRADCHECK_STDOUT = """\
 PASS mse: max_rel_err=1.323e-07 threshold=1e-06
 PASS sims/own_first_token: max_rel_err=3.815e-08 threshold=1e-05
@@ -48,13 +67,21 @@ PASS model/image_branch: max_rel_err=1.590e-07 threshold=1e-04
 """
 
 
-def test_two_seed_errors_are_pinned():
-    results = verification.run_all(n_seeds=2)
-    assert [r.name for r in results] == list(TWO_SEED_ERRORS)
+def _assert_pinned(n_seeds, pinned):
+    results = verification.run_all(n_seeds=n_seeds)
+    assert [r.name for r in results] == list(pinned)
     for r in results:
         assert type(r.max_error) is float, r.name
-        assert r.max_error == float.fromhex(TWO_SEED_ERRORS[r.name]), r.name
+        assert r.max_error == float.fromhex(pinned[r.name]), r.name
         assert r.passed, r.name
+
+
+def test_two_seed_errors_are_pinned():
+    _assert_pinned(2, TWO_SEED_ERRORS)
+
+
+def test_twenty_seed_errors_are_pinned():
+    _assert_pinned(20, TWENTY_SEED_ERRORS)
 
 
 def test_gradcheck_stdout_is_pinned(capsys):
@@ -97,20 +124,12 @@ def _fail_forward_at(k):
         if len(calls) == k:
             raise RuntimeError("scoring failed")
 
-    return forward, lambda fwd, n: np.zeros(n)
+    return forward, lambda fwds: np.zeros(sum(k for _, k in fwds))
 
 
-def _fail_score_at(k):
-    """A forward that always succeeds, and a scorer that raises on its k-th call."""
-    calls = []
-
-    def score(fwd, n):
-        calls.append(1)
-        if len(calls) == k:
-            raise RuntimeError("scoring failed")
-        return np.zeros(n)
-
-    return lambda stacked: None, score
+def _failing_score(fwds):
+    """A scorer that raises on its one call, after every tensor's stacked forward has run."""
+    raise RuntimeError("scoring failed")
 
 
 def _assert_failure_restores(forward, score):
@@ -133,8 +152,7 @@ def test_tensors_restored_after_failed_evaluation():
 
 
 def test_tensors_restored_after_failed_scoring():
-    # After the second tensor's stacked forward has run.
-    _assert_failure_restores(*_fail_score_at(2))
+    _assert_failure_restores(lambda stacked: None, _failing_score)
 
 
 def _copy_per_point(point, h):
@@ -180,22 +198,67 @@ def test_non_finite_value_names_its_index(bad):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_scorers_match_public_values(seed):
-    for check, loss, score, args, name, field in verification._loss_checks(seed):
+    """Each check's slice of its group's call scores its own stack, point by point as the public function does."""
+    for loss, score, args, checks in verification._loss_groups(seed):
         scored = []
 
         def spy(**batch):
             values = score(**batch)
-            scored.append((batch[name], values))
+            scored.append((batch, values))
             return values
 
-        verification._arg_check(loss, spy, args, name, field)
-        [(stack, values)] = scored
-        assert len(values) == len(stack) == 2 * args[name].size, check
-        for point, value in zip(stack, values):
-            assert value == loss(**{**args, name: point}).value, check
+        verification._group_errors(loss, spy, args, checks)
+        [(batch, values)] = scored
+        start = 0
+        for check, name, _ in checks:
+            stack = _perturbed_stack(args[name], verification.FD_STEP)
+            rows = slice(start, start + len(stack))
+            assert batch[name][rows].tobytes() == stack.tobytes(), (check, name)
+            for point, value in zip(stack, values[rows]):
+                assert value == loss(**{**args, name: point}).value, (check, name)
+            start += len(stack)
+        assert len(values) == start
 
 
-def test_model_suite_scores_each_tensor_in_one_call(monkeypatch):
+@pytest.mark.parametrize("seed", range(20))
+def test_loss_errors_match_per_check_reference(seed):
+    want = [
+        (check, name, ref.arg_check(loss, score, args, name, field))
+        for loss, score, args, checks in verification._loss_groups(seed)
+        for check, name, field in checks
+    ]
+    assert len(want) == 17
+    got = verification._loss_errors(seed)
+    assert [(c, n, e.hex()) for c, n, e in got] == [(c, n, e.hex()) for c, n, e in want]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_model_errors_match_per_tensor_reference(seed):
+    cfg = verification._tiny_config()
+    rng, params, voxels, fwds = verification._safe_draw(cfg, seed)
+    targets = verification._targets(cfg, rng)
+    for branch, fwd in fwds.items():
+        params, grads, forward, score = verification._branch_check(branch, params, fwd, voxels, targets)
+        got = verification._max_param_error(params, grads, forward, score)
+        want = ref.max_param_error(params, grads, forward, lambda f, k: score([(f, k)]))
+        assert got.hex() == want.hex(), branch
+
+
+def test_skewed_crec_field_fails_only_its_check(monkeypatch):
+    crec_loss = verification.crec_loss
+
+    def skewed(*args, **kwargs):
+        out = crec_loss(*args, **kwargs)
+        return dataclasses.replace(out, grad_recon_det_cross=1.001 * out.grad_recon_det_cross)
+
+    monkeypatch.setattr(verification, "crec_loss", skewed)
+    crec = [(name, error) for check, name, error in verification._loss_errors(0) if check == "crec"]
+    assert [name for name, _ in crec] == list(IMAGE_RECONS)
+    threshold = verification._LOSS_THRESHOLDS["crec"]
+    assert [name for name, error in crec if error >= threshold] == ["recon_det_cross"]
+
+
+def test_model_suite_scores_each_branch_in_one_call(monkeypatch):
     calls = {"text": 0, "image": 0}
     for branch in calls:
         loss = getattr(verification, f"{branch}_total_loss")
@@ -205,29 +268,44 @@ def test_model_suite_scores_each_tensor_in_one_call(monkeypatch):
             return _loss(*args, **kwargs)
 
         monkeypatch.setattr(verification, f"{branch}_total_loss", counted)
-    forwards = {"rng": 0, "masks": 0}
+    forwards = dict.fromkeys([(b, m) for b in ("text", "image") for m in ("rng", "masks")], 0)
     for branch in ("text", "image"):
         forward = getattr(verification, f"{branch}_branch_forward")
 
-        def counted_forward(*args, _forward=forward, **kwargs):
+        def counted_forward(*args, _forward=forward, _branch=branch, **kwargs):
             [mode] = kwargs  # a screening forward draws masks (rng), a replay reads them (masks)
-            forwards[mode] += 1
+            forwards[_branch, mode] += 1
             return _forward(*args, **kwargs)
 
         monkeypatch.setattr(verification, f"{branch}_branch_forward", counted_forward)
     attempts = []
     init = verification.init_params
     monkeypatch.setattr(verification, "init_params", lambda *a, **k: attempts.append(1) or init(*a, **k))
+    screens = []
+    fd_safe = verification._fd_safe
+    monkeypatch.setattr(verification, "_fd_safe", lambda *a: screens.append(fd_safe(*a)) or screens[-1])
 
     n_seeds = 2
     assert all(r.passed for r in verification.model_gradient_suite(n_seeds=n_seeds))
     names = init_params(verification._tiny_config(), Rng(0, "names")).tensors
     assert len(names) == 24
-    # Per draw: one analytic call per branch, then one scoring call per parameter tensor.
-    assert calls == {b: n_seeds * (1 + sum(n.startswith(f"{b}.") for n in names)) for b in calls}
-    # One replayed forward per parameter tensor per draw (480 in a 20-draw
-    # gradcheck), and one screening forward per branch per attempt.
-    assert forwards == {"rng": 2 * len(attempts), "masks": n_seeds * len(names)}
+    # Per draw and branch: one analytic call, then one scoring call for every parameter tensor.
+    assert calls == {"text": 2 * n_seeds, "image": 2 * n_seeds}
+    # Each attempt screens its text forward, and its image forward only when the text one is safe.
+    results = iter(screens)
+    image_screens = 0
+    for _ in attempts:
+        if next(results):  # a safe text draw goes on to screen its image forward
+            next(results)
+            image_screens += 1
+    assert next(results, None) is None
+    assert n_seeds <= image_screens < len(attempts)
+    # One replayed forward per parameter tensor per draw.
+    assert forwards == {
+        ("text", "rng"): len(attempts),
+        ("image", "rng"): image_screens,
+        **{(b, "masks"): n_seeds * sum(n.startswith(f"{b}.") for n in names) for b in ("text", "image")},
+    }
 
 
 def _fd_stack(point):
