@@ -58,7 +58,7 @@ from .losses import (
     text_total_loss,
 )
 from .matio import load_matrices, load_matrix, save_matrices, save_matrix
-from .metrics import pixcorr, ssim, two_way_identification
+from .metrics import pixcorr, pixcorr_batch, ssim, ssim_batch, two_way_identification
 from .model import (
     ModelConfig,
     ModelParams,
@@ -84,4 +84,4 @@ from .training import (
     train,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

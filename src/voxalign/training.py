@@ -31,7 +31,16 @@ from .data import Dataset, fuse_targets, split_regions
 from .errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch, UsageError
 # mg_loss and mse_loss are not called here; perfbench/spans.py traces them in this module.
 from .losses import ANCHOR_MODES, image_total_loss, mg_loss, mse_loss, text_total_loss
-from .metrics import SIMILARITIES, SSIM_WINDOW, pixcorr, ssim, two_way_identification
+# pixcorr and ssim are not called here; perfbench/spans.py traces them in this module.
+from .metrics import (
+    SIMILARITIES,
+    SSIM_WINDOW,
+    pixcorr,
+    pixcorr_batch,
+    ssim,
+    ssim_batch,
+    two_way_identification,
+)
 from .model import (
     SCORED_OUTPUTS,
     ModelConfig,
@@ -338,13 +347,31 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
     return params, report
 
 
+def _check_test_images(pred: np.ndarray, target: np.ndarray, first_stimulus: int) -> None:
+    """Reject a constant predicted or target image, naming its test sample:
+    pixel correlation and SSIM are undefined for it."""
+    for name, images in (("predicted", pred), ("target", target)):
+        rows = images.reshape(images.shape[0], -1)
+        constant = np.flatnonzero((rows == rows[:, :1]).all(axis=1))
+        if constant.size:
+            s = int(constant[0])
+            raise DegenerateInput(
+                f"test sample {s} (stimulus {first_stimulus + s}): the {name} image is "
+                "constant, so its pixel correlation and SSIM are undefined"
+            )
+
+
 def evaluate(params: ModelParams, dataset: Dataset, cfg: TrainConfig) -> dict:
     """Test-split metrics for a trained (or raw) model.
 
     Returns two-way identification for both branches plus per-sample mean
     pixel correlation and SSIM for the fused image prediction; metrics that
     do not apply to the variant (or to the embedding size, for SSIM) are
-    None.
+    None. Pixel correlation and SSIM score the whole test split in one
+    :func:`metrics.pixcorr_batch` and one :func:`metrics.ssim_batch` call;
+    SSIM compares each target with its prediction under the target's own
+    value range. A constant predicted or target image raises
+    :class:`DegenerateInput` naming its test sample.
     """
     _check_dims(dataset, params.cfg)
     lo, hi = resolve_layer_range(cfg, dataset.layers)
@@ -371,20 +398,16 @@ def evaluate(params: ModelParams, dataset: Dataset, cfg: TrainConfig) -> dict:
         target = effective_image_target(params.variant, by_path)[te]
         ifwd = image_branch_forward(voxels_sem[te], voxels_det[te], params)
         pred = ifwd.pred_fused_emb
+        _check_test_images(pred, target, te.start)
         metrics["two_way_image"] = two_way_identification(
             pred.reshape(n_test, -1), target.reshape(n_test, -1),
             similarity=cfg.eval_similarity,
         )
-        metrics["pixcorr"] = float(
-            np.mean([pixcorr(pred[s], target[s]) for s in range(n_test)])
-        )
+        metrics["pixcorr"] = float(np.mean(pixcorr_batch(pred, target)))
         tokens, dim = dataset.image_token_shape
         if tokens >= SSIM_WINDOW and dim >= SSIM_WINDOW:
-            values = []
-            for s in range(n_test):
-                value_range = float(target[s].max() - target[s].min())
-                values.append(ssim(target[s], pred[s], value_range))
-            metrics["ssim"] = float(np.mean(values))
+            value_ranges = target.max(axis=(1, 2)) - target.min(axis=(1, 2))
+            metrics["ssim"] = float(np.mean(ssim_batch(target, pred, value_ranges)))
     return metrics
 
 

@@ -334,6 +334,24 @@ class TestEval:
         for key in ("two_way_image", "two_way_text", "pixcorr", "ssim"):
             assert evaluated[key] == trained[key], key
 
+    def test_eval_reproduces_train_ssim(self, tmp_path):
+        # 13x11 images, not the default shape, are large enough for the
+        # 11x11 SSIM window, so ssim is scored on both sides.
+        gen = tmp_path / "gen.cfg"
+        gen.write_text(SMALL_GEN.replace("image_tokens=4\nimage_dim=6", "image_tokens=13\nimage_dim=11"))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(SMALL_TRAIN)
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--config", str(gen), "--out", str(data), "--quiet"]) == 0
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run), "--quiet"]) == 0
+        assert main(["eval", "--ckpt", str(run / "checkpoint"), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+        trained = json.loads((run / "metrics.json").read_text())
+        evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert trained["ssim"] is not None
+        for key in ("two_way_image", "two_way_text", "pixcorr", "ssim"):
+            assert evaluated[key] == trained[key], key
+
     def test_manifest_file_outside_checkpoint_exit_2(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(workspace / "run" / "checkpoint", ckpt)

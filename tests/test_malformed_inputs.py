@@ -90,11 +90,14 @@ def _damaged(path: Path, content: bytes):
         path.write_bytes(original)
 
 
-def _eval_fails(tiny: Path, *named: str) -> None:
-    """Run ``eval`` on the tiny workspace; it must exit 2 naming every string in `named`."""
+def _eval_fails(tiny: Path, *named: str, ckpt: Path = None, data: Path = None) -> None:
+    """Run ``eval`` on the tiny workspace (or the given checkpoint and dataset);
+    it must exit 2 naming every string in `named`."""
+    ckpt = ckpt or tiny / "run" / "checkpoint"
+    data = data or tiny / "data"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--ckpt", str(tiny / "run" / "checkpoint"), "--data", str(tiny / "data"),
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--out", str(tiny / "ev"), "--quiet"])
     message = err.getvalue()
     assert code == 2, message
@@ -325,3 +328,21 @@ def test_a_bad_caption_file_is_named_before_a_later_missing_stimulus(tiny, tmp_p
     error = _raised(load_dataset, data)
     assert error == _raised(ref.load_dataset, data)
     assert error[1].startswith(f"{path}: truncated payload")
+
+
+def test_constant_target_image_names_its_test_sample(tiny, tmp_path):
+    data = _dataset_copy(tiny, tmp_path)
+    for path in sorted((data / "layers").glob("*.mat1")):
+        layer = load_matrix(path)
+        layer[9] = 0.5  # test sample 1 of 4, after 8 training stimuli
+        save_matrix(layer, path)
+    _eval_fails(tiny, "test sample 1 (stimulus 9): the target image is constant", data=data)
+
+
+def test_constant_predicted_image_names_its_test_sample(tiny, tmp_path):
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(tiny / "run" / "checkpoint", ckpt)
+    for name, value in (("W", 0.0), ("b", 0.5)):
+        path = ckpt / f"image.output.{name}.mat1"
+        save_matrix(np.full(load_matrix(path).shape, value), path)
+    _eval_fails(tiny, "test sample 0 (stimulus 8): the predicted image is constant", ckpt=ckpt)

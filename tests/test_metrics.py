@@ -1,9 +1,15 @@
+import tracemalloc
+
+import metrics_reference as ref
 import numpy as np
 import pytest
 
 from voxalign.errors import DegenerateInput, ShapeMismatch
-from voxalign.metrics import pixcorr, ssim, two_way_identification
+from voxalign.metrics import pixcorr, pixcorr_batch, ssim, ssim_batch, two_way_identification
 from voxalign.rng import Rng
+
+BATCH_SIZES = (1, 2, 3, 7, 64, 128, 257)
+SSIM_SHAPES = ((11, 11), (12, 16), (20, 11), (11, 30), (13, 29))
 
 
 class TestPixcorr:
@@ -98,6 +104,80 @@ class TestSsim:
         a = np.ones((11, 11))
         with pytest.raises(DegenerateInput):
             ssim(a, a, 0.0)
+
+
+def image_pairs(n, h, w, seed=0):
+    """Images with a noisy copy of each, and each first image's value range."""
+    r = Rng(seed, "batched-metrics")
+    a = r.child("a").normal(n, h, w)
+    b = a + 0.4 * r.child("b").normal(n, h, w)
+    return a, b, a.max(axis=(1, 2)) - a.min(axis=(1, 2))
+
+
+class TestBatchedMetrics:
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_pixcorr_batch_matches_per_sample_loop(self, n):
+        for h, w in ((1, 7), (12, 16)):
+            a, b, _ = image_pairs(n, h, w, seed=n)
+            assert pixcorr_batch(a, b).tobytes() == ref.pixcorr_loop(a, b).tobytes()
+
+    @pytest.mark.parametrize("shape", SSIM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_ssim_batch_matches_one_image_calls(self, n, shape):
+        a, b, ranges = image_pairs(n, *shape, seed=n)
+        one_by_one = np.array([ssim(a[s], b[s], ranges[s]) for s in range(n)])
+        assert ssim_batch(a, b, ranges).tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("shape", SSIM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_ssim_batch_near_loop_oracle_and_0_1_0(self, shape):
+        a, b, ranges = image_pairs(7, *shape, seed=11)
+        values = ssim_batch(a, b, ranges)
+        for s in range(7):
+            assert values[s] == pytest.approx(ssim_loop_oracle(a[s], b[s], ranges[s]), abs=1e-10)
+            # 0.1.0 summed each window in BLAS order; only the last bits differ.
+            assert values[s] == pytest.approx(ref.ssim(a[s], b[s], ranges[s]), abs=1e-12)
+
+    def test_pixcorr_batch_names_a_constant_sample(self):
+        a, b, _ = image_pairs(5, 3, 4)
+        b[2] = 0.25
+        with pytest.raises(DegenerateInput, match="^sample 2: b has zero variance$"):
+            pixcorr_batch(a, b)
+        with pytest.raises(DegenerateInput, match="^sample 2: a has zero variance$"):
+            pixcorr_batch(b, a)
+
+    def test_ssim_batch_names_a_bad_value_range(self):
+        a, b, ranges = image_pairs(4, 12, 16)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            ranges[3] = bad
+            with pytest.raises(DegenerateInput, match="^sample 3: value_range must be positive"):
+                ssim_batch(a, b, ranges)
+
+    def test_ssim_batch_rejects_mismatched_inputs(self):
+        a, b, ranges = image_pairs(4, 12, 16)
+        with pytest.raises(ShapeMismatch):
+            ssim_batch(a, b[:3], ranges)
+        with pytest.raises(ShapeMismatch):
+            ssim_batch(a, b, ranges[:3])
+        with pytest.raises(ShapeMismatch):
+            ssim_batch(a[0], b[0], ranges[:1])
+        a[1, 2, 3] = np.nan
+        with pytest.raises(DegenerateInput, match="^a: contains non-finite entries$"):
+            ssim_batch(a, b, ranges)
+
+    def test_ssim_batch_peak_memory_does_not_grow_with_samples(self):
+        def peak(n):
+            a, b, ranges = image_pairs(n, 12, 16)
+            tracemalloc.start()
+            try:
+                ssim_batch(a, b, ranges)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(64), peak(512)
+        # Only the per-sample vectors may grow (the result, C1, C2 and the
+        # range check, about 28 bytes a sample); one chunk is about 440 kB.
+        assert large <= small + 32 * (512 - 64), (small, large)
 
 
 class TestTwoWayIdentification:

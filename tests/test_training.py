@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import loss_reference as ref
+import metrics_reference
 import training_reference
 from voxalign import training
 from voxalign.data import SynthConfig, split_regions, synth_generate
@@ -367,6 +369,30 @@ class TestEvaluate:
         metrics = evaluate(params, ds, small_train())
         assert metrics["ssim"] is None
         assert metrics["pixcorr"] is not None
+
+    def test_scores_the_test_split_in_one_batched_call_each(self, monkeypatch):
+        shape = dict(image_tokens=12, image_dim=16)
+        ds = synth_generate(SynthConfig(seed=6, **{**SMALL_SYNTH, **shape}))
+        model_cfg = replace(small_model(), **shape)
+        params = init_params(model_cfg, Rng(6, "e").child("init"))
+        cfg = small_train()
+        calls = []
+        for name in ("pixcorr_batch", "ssim_batch"):
+            batched = getattr(training, name)
+            monkeypatch.setattr(
+                training, name, lambda *args, _f=batched, _n=name: calls.append(_n) or _f(*args)
+            )
+        for name in ("pixcorr", "ssim"):
+            monkeypatch.setattr(training, name, None)
+        metrics = evaluate(params, ds, cfg)
+        assert sorted(calls) == ["pixcorr_batch", "ssim_batch"]
+        te = ds.test_slice
+        lo, hi = resolve_layer_range(cfg, ds.layers)
+        target = training.effective_image_target("full", ds.image_targets(lo, hi, True))[te]
+        voxels_sem, voxels_det = split_regions(ds.voxels, ds.mask)
+        pred = image_branch_forward(voxels_sem[te], voxels_det[te], params).pred_fused_emb
+        assert metrics["pixcorr"] == metrics_reference.evaluate_pixcorr(pred, target)
+        assert metrics["ssim"] == pytest.approx(metrics_reference.evaluate_ssim(pred, target), abs=1e-12)
 
 
 class TestLayerScan:
