@@ -21,7 +21,6 @@ from .data import (
     Dataset,
     RegionMask,
     SynthConfig,
-    average_captions,
     average_layers,
     fuse_targets,
     load_dataset,

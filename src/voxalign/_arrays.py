@@ -31,6 +31,12 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
+def first_constant_row(m: np.ndarray):
+    """Index of the first row of 2-D `m` whose entries all equal its first entry, or None."""
+    constant = np.flatnonzero((m == m[:, :1]).all(axis=1))
+    return int(constant[0]) if constant.size else None
+
+
 def require_same_shape(a: np.ndarray, b: np.ndarray, context: str) -> None:
     if a.shape != b.shape:
         raise ShapeMismatch(f"{context}: shapes {a.shape} and {b.shape} differ")

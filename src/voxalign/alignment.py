@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._arrays import as_matrix
+from ._arrays import as_matrix, first_constant_row
 from .errors import DegenerateInput, RangeError, ShapeMismatch
 from . import linalg
 from .linalg import apply_centering, gram_linear, pearson, ridge_solve, spearman
@@ -107,9 +107,9 @@ def rdm_from_features(features) -> Rdm:
         raise DegenerateInput("rdm needs at least 2 stimuli")
     if f.shape[1] < 2:
         raise DegenerateInput("rdm needs at least 2 features per stimulus")
-    for i in range(n):
-        if np.all(f[i] == f[i, 0]):
-            raise DegenerateInput(f"stimulus {i} has a constant pattern")
+    constant = first_constant_row(f)
+    if constant is not None:
+        raise DegenerateInput(f"stimulus {constant} has a constant pattern")
     corr = np.corrcoef(f)
     corr = np.clip(corr, -1.0, 1.0)
     values = 1.0 - corr

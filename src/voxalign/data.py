@@ -8,7 +8,9 @@ with depth and reaches exactly zero at the final layer. Caption
 embeddings are noisy views of the semantic factor. This reproduces the
 structural assumptions the decoder exploits (detail signal lives early
 and in low-level voxels, semantic signal lives late and in high-level
-voxels) without any external data.
+voxels) without any external data. A :class:`Dataset` holds all its
+captions in one array with a count per stimulus; on disk each caption is
+its own ``captions/<stimulus>/<j>.mat1`` file.
 
 Region convention: the detail voxel vector is the full recording and the
 semantic vector is its high-level slice, so semantic voxels are a subset
@@ -24,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_matrix
 from .alignment import LayerStack
 from .config import check_fields, format_value, read_config_file, read_text, setting
 from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch, UsageError
@@ -140,13 +141,41 @@ class SynthConfig:
 
 @dataclass
 class Dataset:
-    """Voxel recordings plus embedding targets for every stimulus."""
+    """Voxel recordings plus embedding targets for every stimulus.
+
+    Stimulus ``i`` owns the next ``caption_counts[i]`` rows of ``captions``.
+    Both are checked here, once: a stimulus without captions or with a
+    non-finite one raises :class:`DegenerateInput` naming it; other faults
+    raise :class:`ShapeMismatch`.
+    """
 
     voxels: np.ndarray  # (n, n_detail_voxels)
     mask: RegionMask
     layers: LayerStack  # each (n, image_tokens * image_dim)
-    captions: list  # per stimulus: list of (text_tokens, text_dim) matrices
+    captions: np.ndarray  # (total_captions, text_tokens, text_dim)
+    caption_counts: np.ndarray  # (n,), each at least 1
     meta: dict = field(repr=False)
+
+    def __post_init__(self):
+        captions = np.asarray(self.captions, dtype=np.float64)
+        counts = np.asarray(self.caption_counts, dtype=np.intp)
+        if captions.ndim != 3:
+            raise ShapeMismatch(f"captions: expected a 3-D array (captions, tokens, dim), got shape {captions.shape}")
+        if counts.shape != (self.n,):
+            raise ShapeMismatch(f"caption_counts: expected shape ({self.n},), got {counts.shape}")
+        empty = np.flatnonzero(counts < 1)
+        if empty.size:
+            raise DegenerateInput(f"stimulus {int(empty[0])}: caption list is empty")
+        total = int(counts.sum())
+        if total != len(captions):
+            raise ShapeMismatch(f"caption_counts sum to {total}, but captions has {len(captions)} rows")
+        bad = np.flatnonzero(~np.isfinite(captions).all(axis=(1, 2)))
+        if bad.size:
+            starts = np.cumsum(counts) - counts
+            i = int(np.searchsorted(starts, bad[0], side="right")) - 1
+            raise DegenerateInput(f"stimulus {i}: caption {bad[0] - starts[i]}: contains non-finite entries")
+        self.captions = captions
+        self.caption_counts = counts
 
     @property
     def n(self) -> int:
@@ -173,38 +202,17 @@ class Dataset:
         return int(self.meta["image_tokens"]), int(self.meta["image_dim"])
 
     def text_targets(self) -> np.ndarray:
-        """Per-stimulus caption average, shape (n, text_tokens, text_dim).
+        """Per-stimulus caption mean, shape (n, text_tokens, text_dim).
 
         Stimuli with the same caption count are averaged in one ``np.mean``,
-        which gives the bits of :func:`average_captions` per stimulus. A
-        caption list that is empty, ragged or not finite goes through
-        :func:`average_captions`, whose fault is raised prefixed with
-        ``stimulus i: ``; a stimulus whose captions differ in shape from
-        stimulus 0's raises :class:`ShapeMismatch` naming it.
+        which gives the bits of the mean of each stimulus's captions alone.
         """
-        counts = np.array([len(c) for c in self.captions])
-        try:
-            flat = np.stack([e for c in self.captions for e in c]).astype(np.float64, copy=False)
-        except ValueError:  # no captions at all, or captions of different shapes
-            flat = None
-        if flat is None or flat.ndim != 3 or not flat.size or counts.min() < 1 or not np.isfinite(flat).all():
-            means = []
-            for i, captions in enumerate(self.captions):
-                try:
-                    means.append(average_captions(captions))
-                except (DegenerateInput, ShapeMismatch) as exc:
-                    raise type(exc)(f"stimulus {i}: {exc}") from exc
-            for i, mean in enumerate(means):
-                if mean.shape != means[0].shape:
-                    raise ShapeMismatch(
-                        f"stimulus {i}: captions have shape {mean.shape}, stimulus 0's have {means[0].shape}"
-                    )
-            return np.stack(means)
+        counts = self.caption_counts
         starts = np.cumsum(counts) - counts
-        out = np.empty((len(counts),) + flat.shape[1:])
+        out = np.empty((self.n,) + self.captions.shape[1:])
         for count in np.unique(counts):
             rows = np.flatnonzero(counts == count)
-            out[rows] = np.mean(flat[starts[rows, None] + np.arange(count)], axis=1)
+            out[rows] = np.mean(self.captions[starts[rows, None] + np.arange(count)], axis=1)
         return out
 
     def image_targets(self, layer_lo: int, layer_hi: int, semantic_from_final: bool) -> dict:
@@ -221,18 +229,6 @@ class Dataset:
         else:
             sem = det
         return {"sem": sem, "det": det}
-
-
-def average_captions(embeddings) -> np.ndarray:
-    """Elementwise mean of a nonempty list of equal-shape caption embeddings."""
-    if len(embeddings) == 0:
-        raise DegenerateInput("caption list is empty")
-    mats = [as_matrix(e, f"caption {i}") for i, e in enumerate(embeddings)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ShapeMismatch(f"caption {i} has shape {m.shape}, expected {shape}")
-    return np.mean(mats, axis=0)
 
 
 def average_layers(stack: LayerStack, lo: int, hi: int) -> np.ndarray:
@@ -303,20 +299,12 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     layers = LayerStack(tuple(range(1, cfg.n_layers + 1)), tuple(features))
 
     caption_counts = rng.child("caption_counts").integers(1, MAX_CAPTIONS + 1, n)
-    caption_noise = rng.child("noise/captions")
-    text_base = z_sem @ mix_text
-    captions = []
-    for i in range(n):
-        base = text_base[i].reshape(cfg.text_tokens, cfg.text_dim)
-        captions.append(
-            [
-                base + cfg.noise_caption * caption_noise.normal(cfg.text_tokens, cfg.text_dim)
-                for _ in range(int(caption_counts[i]))
-            ]
-        )
+    text_base = (z_sem @ mix_text).reshape(n, cfg.text_tokens, cfg.text_dim)
+    noise = rng.child("noise/captions").normal(int(caption_counts.sum()), cfg.text_tokens, cfg.text_dim)
+    captions = np.repeat(text_base, caption_counts, axis=0) + cfg.noise_caption * noise
 
     meta = {f.name: format_value(getattr(cfg, f.name)) for f in fields(cfg)}
-    return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)
+    return Dataset(voxels, mask, layers, captions, caption_counts, meta)
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
@@ -333,14 +321,15 @@ def save_dataset(dataset: Dataset, directory) -> None:
     )
     caption_root = root / "captions"
     caption_root.mkdir(exist_ok=True)
-    stim_dirs = [os.path.join(caption_root, str(i)) for i in range(len(dataset.captions))]
+    stim_dirs = [os.path.join(caption_root, str(i)) for i in range(dataset.n)]
     for stim_dir in stim_dirs:
         os.makedirs(stim_dir, exist_ok=True)
-    save_matrices(
-        (emb, os.path.join(stim_dir, f"{j}.mat1"))
-        for stim_dir, caption_list in zip(stim_dirs, dataset.captions)
-        for j, emb in enumerate(caption_list)
+    caption_paths = (
+        os.path.join(stim_dir, f"{j}.mat1")
+        for stim_dir, count in zip(stim_dirs, dataset.caption_counts.tolist())
+        for j in range(count)
     )
+    save_matrices(zip(dataset.captions, caption_paths))
     meta_lines = [f"{k}={dataset.meta[k]}" for k in sorted(dataset.meta)]
     (root / "meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
@@ -495,6 +484,7 @@ def load_dataset(directory) -> Dataset:
         zip(paths, matrices), (int(meta["text_tokens"]), int(meta["text_dim"])),
         f"text_tokens x text_dim of {meta_path}",
     )
-    loaded = iter(matrices)
-    captions = [[next(loaded) for _ in stim_paths] for stim_paths in listings]
-    return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)
+    return Dataset(
+        voxels=voxels, mask=mask, layers=layers, captions=np.stack(matrices),
+        caption_counts=[len(stim_paths) for stim_paths in listings], meta=meta,
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_array, as_matrix
+from ._arrays import as_array, as_matrix, first_constant_row
 from .errors import DegenerateInput, ShapeMismatch
 
 SSIM_WINDOW = 11
@@ -36,9 +36,9 @@ def pixcorr_batch(a, b) -> np.ndarray:
         raise DegenerateInput("pixcorr requires at least 2 values per sample")
     centered = []
     for name, m in (("a", am), ("b", bm)):
-        constant = np.flatnonzero((m == m[:, :1]).all(axis=1))
-        if constant.size:
-            raise DegenerateInput(f"sample {int(constant[0])}: {name} has zero variance")
+        constant = first_constant_row(m)
+        if constant is not None:
+            raise DegenerateInput(f"sample {constant}: {name} has zero variance")
         centered.append(m - m.mean(axis=1, keepdims=True))
     ac, bc = centered
     ssa = np.vecdot(ac, ac)
@@ -164,15 +164,17 @@ def ssim(a, b, value_range: float) -> float:
 
 def _standardized_rows(m: np.ndarray, name: str, similarity: str) -> np.ndarray:
     if similarity == "pearson":
-        centered = m - m.mean(axis=1, keepdims=True)
-    else:
-        centered = m
-    norms = np.linalg.norm(centered, axis=1)
+        # Tested before centring, which leaves an inexact mean's rounding residue.
+        constant = first_constant_row(m)
+        if constant is not None:
+            raise DegenerateInput(f"{name} row {constant} has zero variance")
+        m = m - m.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(m, axis=1)
     bad = np.where(norms == 0.0)[0]
     if bad.size:
         kind = "zero variance" if similarity == "pearson" else "zero norm"
         raise DegenerateInput(f"{name} row {int(bad[0])} has {kind}")
-    return centered / norms[:, None]
+    return m / norms[:, None]
 
 
 def two_way_identification(preds, truths, similarity: str = "pearson") -> float:

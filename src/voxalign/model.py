@@ -212,11 +212,6 @@ class ModelParams:
                 raise DegenerateInput(f"{name}: contains non-finite entries")
             self.tensors[name] = t
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.cfg, self.variant, {k: v.copy() for k, v in self.tensors.items()}
-        )
-
 
 class _StackedParams(NamedTuple):
     """Parameters in which one tensor holds K copies stacked on a new leading axis.

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import first_constant_row
 from .alignment import LayerStack
 from .config import check_fields, setting
 from .data import Dataset, fuse_targets, split_regions
@@ -127,10 +128,18 @@ def resolve_layer_range(cfg: TrainConfig, stack: LayerStack):
     return lo, hi
 
 
-def effective_image_target(variant: str, targets: dict):
-    """The target the variant's fused prediction is trained against: the
-    mean of its path targets (see :meth:`Dataset.image_targets`)."""
-    return fuse_targets(*(targets[path] for path in image_paths(variant)))
+def _targets(dataset: Dataset, cfg: TrainConfig, variant: str) -> dict:
+    """Every stimulus's targets per branch, as _batch_loss takes them: ``{"text":
+    (text,), "image": (fused, sem, det)}``, None for an absent path; the fused
+    target is the mean of the variant's path targets (no "image" without one)."""
+    paths = image_paths(variant)
+    lo, hi = resolve_layer_range(cfg, dataset.layers)
+    targets = {"text": (dataset.text_targets(),)}
+    if paths:
+        by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
+        active = {path: by_path[path] for path in paths}
+        targets["image"] = (fuse_targets(*active.values()), active.get("sem"), active.get("det"))
+    return targets
 
 
 def _check_dims(dataset: Dataset, model_cfg: ModelConfig):
@@ -267,17 +276,9 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
     """Fit a model variant; returns final parameters and the epoch report."""
     start = time.perf_counter()
     _check_dims(dataset, model_cfg)
-    paths = image_paths(variant)
-    lo, hi = resolve_layer_range(cfg, dataset.layers)
-
-    # Targets and voxels per branch and split, in the shapes _batch_loss takes.
+    targets = _targets(dataset, cfg, variant)
+    branches = tuple(targets)
     voxels = split_regions(dataset.voxels, dataset.mask)
-    branches = ("text", "image") if paths else ("text",)
-    targets = {"text": (dataset.text_targets(),)}
-    if paths:
-        by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
-        active = {path: by_path[path] for path in paths}
-        targets["image"] = (effective_image_target(variant, by_path), active.get("sem"), active.get("det"))
     tr, te = dataset.train_slice, dataset.test_slice
     train_voxels, val_voxels = _rows(voxels, tr), _rows(voxels, te)
     train_targets = {branch: _rows(t, tr) for branch, t in targets.items()}
@@ -334,7 +335,7 @@ def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: s
             val_components.update(means)
         history.append({"epoch": epoch, "train": train_components, "val": val_components})
 
-    total_key = "image_total" if paths else "text_total"
+    total_key = "image_total" if "image" in targets else "text_total"
     best_epoch = 1 + int(np.argmin([h["val"][total_key] for h in history]))
     report = TrainReport(
         variant=variant,
@@ -351,10 +352,8 @@ def _check_test_images(pred: np.ndarray, target: np.ndarray, first_stimulus: int
     """Reject a constant predicted or target image, naming its test sample:
     pixel correlation and SSIM are undefined for it."""
     for name, images in (("predicted", pred), ("target", target)):
-        rows = images.reshape(images.shape[0], -1)
-        constant = np.flatnonzero((rows == rows[:, :1]).all(axis=1))
-        if constant.size:
-            s = int(constant[0])
+        s = first_constant_row(images.reshape(images.shape[0], -1))
+        if s is not None:
             raise DegenerateInput(
                 f"test sample {s} (stimulus {first_stimulus + s}): the {name} image is "
                 "constant, so its pixel correlation and SSIM are undefined"
@@ -374,28 +373,26 @@ def evaluate(params: ModelParams, dataset: Dataset, cfg: TrainConfig) -> dict:
     :class:`DegenerateInput` naming its test sample.
     """
     _check_dims(dataset, params.cfg)
-    lo, hi = resolve_layer_range(cfg, dataset.layers)
     te = dataset.test_slice
+    targets = {branch: _rows(t, te) for branch, t in _targets(dataset, cfg, params.variant).items()}
     voxels_sem, voxels_det = split_regions(dataset.voxels, dataset.mask)
     n_test = dataset.n_test
     if n_test < 2:
         raise DegenerateInput("evaluation needs at least 2 test stimuli")
 
-    text_targets = dataset.text_targets()[te]
     tf = text_branch_forward(voxels_sem[te], params)
     metrics = {
         "two_way_text": two_way_identification(
             tf.pred_emb.reshape(n_test, -1),
-            text_targets.reshape(n_test, -1),
+            targets["text"][0].reshape(n_test, -1),
             similarity=cfg.eval_similarity,
         ),
         "two_way_image": None,
         "pixcorr": None,
         "ssim": None,
     }
-    if image_paths(params.variant):
-        by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
-        target = effective_image_target(params.variant, by_path)[te]
+    if "image" in targets:
+        target = targets["image"][0]
         ifwd = image_branch_forward(voxels_sem[te], voxels_det[te], params)
         pred = ifwd.pred_fused_emb
         _check_test_images(pred, target, te.start)

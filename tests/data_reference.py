@@ -1,4 +1,4 @@
-"""Per-file reference implementations of MAT1 and dataset I/O.
+"""Per-file and per-stimulus reference implementations of dataset code.
 
 These are the single-file reader and writer and the globbing dataset
 loader that ``voxalign.matio.load_matrices``/``save_matrices`` and the
@@ -9,18 +9,68 @@ paths to reproduce their arrays bit for bit, their files byte for byte and
 their errors message for message. ``load_dataset`` here does not check
 file shapes against ``meta.txt``, which the library's loader does; a
 layer whose width does not fit ``projection.mat1`` fails in
-``project_layer``. Nothing in the library imports this module.
+``project_layer``.
+
+``average_captions`` is the per-stimulus caption mean that
+``Dataset.text_targets`` computes for every stimulus at once, and
+``draw_captions`` the per-caption noise loop that ``synth_generate``
+replaced with one draw. Nothing in the library imports this module.
 """
 
 from pathlib import Path
 
 import numpy as np
 
+from voxalign._arrays import as_matrix
 from voxalign.alignment import LayerStack
 from voxalign.config import read_text
-from voxalign.data import Dataset, RegionMask, _read_meta
+from voxalign.data import MAX_CAPTIONS, Dataset, RegionMask, _read_meta
 from voxalign.errors import DegenerateInput, FormatError, NumericalFailure, ShapeMismatch
 from voxalign.matio import _HEADER, HEADER_SIZE, MAGIC
+from voxalign.rng import Rng
+
+
+def average_captions(embeddings) -> np.ndarray:
+    """Elementwise mean of a nonempty list of equal-shape caption embeddings."""
+    if len(embeddings) == 0:
+        raise DegenerateInput("caption list is empty")
+    mats = [as_matrix(e, f"caption {i}") for i, e in enumerate(embeddings)]
+    shape = mats[0].shape
+    for i, m in enumerate(mats):
+        if m.shape != shape:
+            raise ShapeMismatch(f"caption {i} has shape {m.shape}, expected {shape}")
+    return np.mean(mats, axis=0)
+
+
+def caption_lists(dataset: Dataset) -> list:
+    """The dataset's captions as one list of (text_tokens, text_dim) matrices per stimulus."""
+    ends = np.cumsum(dataset.caption_counts)
+    return [list(dataset.captions[end - count : end]) for count, end in zip(dataset.caption_counts, ends)]
+
+
+def draw_captions(cfg) -> list:
+    """``synth_generate``'s captions drawn one caption at a time, as lists per stimulus.
+
+    The semantic factors and the text mixing matrix are redrawn from their
+    labelled streams, which do not depend on the order streams are made in.
+    """
+    rng = Rng(cfg.seed, "synth")
+    mix_text = rng.child("mix/text").normal(cfg.k_semantic, cfg.text_tokens * cfg.text_dim)
+    mix_text /= np.sqrt(cfg.k_semantic)
+    z_sem = rng.child("factors/semantic").normal(cfg.n_stimuli, cfg.k_semantic)
+    caption_counts = rng.child("caption_counts").integers(1, MAX_CAPTIONS + 1, cfg.n_stimuli)
+    caption_noise = rng.child("noise/captions")
+    text_base = z_sem @ mix_text
+    captions = []
+    for i in range(cfg.n_stimuli):
+        base = text_base[i].reshape(cfg.text_tokens, cfg.text_dim)
+        captions.append(
+            [
+                base + cfg.noise_caption * caption_noise.normal(cfg.text_tokens, cfg.text_dim)
+                for _ in range(int(caption_counts[i]))
+            ]
+        )
+    return captions
 
 
 def save_matrix(matrix, path) -> None:
@@ -83,7 +133,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
         save_matrix(features, layer_dir / f"layer_{layer_id}.mat1")
     caption_root = root / "captions"
     caption_root.mkdir(exist_ok=True)
-    for i, caption_list in enumerate(dataset.captions):
+    for i, caption_list in enumerate(caption_lists(dataset)):
         stim_dir = caption_root / str(i)
         stim_dir.mkdir(exist_ok=True)
         for j, emb in enumerate(caption_list):
@@ -162,4 +212,7 @@ def load_dataset(directory) -> Dataset:
         if not files:
             raise FormatError(f"stimulus {i} has no caption files", offset=0)
         captions.append([load_matrix(f) for _, f in files])
-    return Dataset(voxels=voxels, mask=mask, layers=layers, captions=captions, meta=meta)
+    return Dataset(
+        voxels=voxels, mask=mask, layers=layers, captions=np.stack([e for c in captions for e in c]),
+        caption_counts=[len(c) for c in captions], meta=meta,
+    )

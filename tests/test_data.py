@@ -7,8 +7,8 @@ import pytest
 from voxalign.alignment import rdm_from_features, rsa
 from voxalign.data import (
     RegionMask,
+    Dataset,
     SynthConfig,
-    average_captions,
     average_layers,
     fuse_targets,
     load_dataset,
@@ -77,29 +77,31 @@ class TestSplitRegions:
 
 
 class TestAveraging:
+    """The per-stimulus caption mean that the text-target tests use as their oracle."""
+
     def test_single_caption(self):
         m = Rng(2, "cap").normal(3, 2)
-        np.testing.assert_array_equal(average_captions([m]), m)
+        np.testing.assert_array_equal(ref.average_captions([m]), m)
 
     def test_opposite_captions_cancel(self):
         m = Rng(3, "cap").normal(3, 2)
-        np.testing.assert_allclose(average_captions([m, -m]), 0.0, atol=1e-16)
+        np.testing.assert_allclose(ref.average_captions([m, -m]), 0.0, atol=1e-16)
 
     def test_three_hand_matrices(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[4.0, 5.0], [6.0, 7.0]])
         c = np.array([[1.0, 608.0], [0.0, 1.0]])
         np.testing.assert_allclose(
-            average_captions([a, b, c]), [[2.0, 205.0], [3.0, 4.0]]
+            ref.average_captions([a, b, c]), [[2.0, 205.0], [3.0, 4.0]]
         )
 
     def test_empty_list(self):
         with pytest.raises(DegenerateInput):
-            average_captions([])
+            ref.average_captions([])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            average_captions([np.ones((2, 2)), np.ones((3, 2))])
+            ref.average_captions([np.ones((2, 2)), np.ones((3, 2))])
 
 
 def make_stack_dataset():
@@ -162,10 +164,17 @@ class TestSynthGenerate:
         assert a.voxels.tobytes() == b.voxels.tobytes()
         for fa, fb in zip(a.layers.features, b.layers.features):
             assert fa.tobytes() == fb.tobytes()
-        for ca, cb in zip(a.captions, b.captions):
-            assert len(ca) == len(cb)
-            for ma, mb in zip(ca, cb):
-                assert ma.tobytes() == mb.tobytes()
+        assert a.caption_counts.tobytes() == b.caption_counts.tobytes()
+        assert a.captions.tobytes() == b.captions.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 401])
+    def test_captions_match_the_per_caption_draws(self, seed):
+        cfg = small_cfg(seed=seed)
+        ds = synth_generate(cfg)
+        expected = ref.draw_captions(cfg)
+        assert ds.caption_counts.tolist() == [len(c) for c in expected]
+        flat = np.stack([e for c in expected for e in c])
+        assert (ds.captions.shape, ds.captions.tobytes()) == (flat.shape, flat.tobytes())
 
     def test_seed_changes_data(self):
         a = synth_generate(small_cfg())
@@ -194,8 +203,7 @@ class TestSynthGenerate:
 
     def test_caption_counts_in_range(self):
         ds = synth_generate(small_cfg())
-        counts = {len(c) for c in ds.captions}
-        assert counts.issubset({1, 2, 3, 4, 5})
+        assert set(ds.caption_counts.tolist()).issubset({1, 2, 3, 4, 5})
 
     def test_planted_hierarchy_recoverable(self):
         # Correlation between the per-layer detail weight and the low-level
@@ -220,9 +228,8 @@ class TestDatasetRoundTrip:
         assert loaded.layers.layer_ids == ds.layers.layer_ids
         for fa, fb in zip(loaded.layers.features, ds.layers.features):
             assert fa.tobytes() == fb.tobytes()
-        for ca, cb in zip(loaded.captions, ds.captions):
-            for ma, mb in zip(ca, cb):
-                assert ma.tobytes() == mb.tobytes()
+        assert loaded.caption_counts.tolist() == ds.caption_counts.tolist()
+        assert loaded.captions.tobytes() == ds.captions.tobytes()
         assert loaded.meta == ds.meta
 
     def test_layout_files(self, tmp_path):
@@ -303,14 +310,12 @@ def _assert_same_dataset(got, expected):
     assert got.layers.layer_ids == expected.layers.layer_ids
     for a, b in zip(got.layers.features, expected.layers.features, strict=True):
         same(a, b)
-    assert [len(c) for c in got.captions] == [len(c) for c in expected.captions]
-    for ca, cb in zip(got.captions, expected.captions):
-        for a, b in zip(ca, cb):
-            same(a, b)
+    assert got.caption_counts.tolist() == expected.caption_counts.tolist()
+    same(got.captions, expected.captions)
 
 
 def _caption_means(ds):
-    return np.stack([average_captions(c) for c in ds.captions])
+    return np.stack([ref.average_captions(c) for c in ref.caption_lists(ds)])
 
 
 class TestBatchedIOOracle:
@@ -319,7 +324,7 @@ class TestBatchedIOOracle:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_files_and_arrays_match_the_per_file_io(self, tmp_path, seed):
         ds = synth_generate(small_cfg(n_train=40, n_test=12, seed=seed))
-        assert {len(c) for c in ds.captions} == {1, 2, 3, 4, 5}
+        assert set(ds.caption_counts.tolist()) == {1, 2, 3, 4, 5}
         save_dataset(ds, tmp_path / "batched")
         ref.save_dataset(ds, tmp_path / "per_file")
         assert _tree(tmp_path / "batched") == _tree(tmp_path / "per_file")
@@ -340,36 +345,71 @@ class TestBatchedIOOracle:
         save_matrix(rng.child("p").normal(dim + 2, dim), root / "projection.mat1")
         _assert_same_dataset(load_dataset(root), ref.load_dataset(root))
 
-    @pytest.mark.parametrize("fault,error", [
-        ("empty", "caption list is empty"),
-        ("ragged", "caption 1 has shape (2, 3), expected (3, 3)"),
-        ("non_finite", "caption 0: contains non-finite entries"),
-        ("vector", "caption 0: expected 2-D, got shape (9,)"),
-    ])
-    def test_text_targets_faults_named_as_per_stimulus(self, fault, error):
-        ds = synth_generate(small_cfg(text_tokens=3, text_dim=3))
-        counts = [len(c) for c in ds.captions]
-        i = counts.index(2)
-        if fault == "empty":
-            ds.captions[i] = []
-        elif fault == "ragged":
-            ds.captions[i][1] = np.ones((2, 3))
-        elif fault == "non_finite":
-            ds.captions[i][0] = np.full((3, 3), np.inf)
-        else:
-            ds.captions = [[np.ones(9)] * len(c) for c in ds.captions]
-        with pytest.raises(Exception) as expected:
-            _caption_means(ds)
-        with pytest.raises(type(expected.value)) as got:
-            ds.text_targets()
-        # The per-stimulus oracle's fault, named by the first stimulus that has it.
-        stimulus = 0 if fault == "vector" else i
-        assert str(got.value) == f"stimulus {stimulus}: {expected.value}"
-        assert error in str(got.value)
 
-    def test_text_targets_name_a_stimulus_of_another_caption_shape(self):
+def _rebuilt(ds, captions, counts):
+    return Dataset(voxels=ds.voxels, mask=ds.mask, layers=ds.layers, captions=captions,
+                   caption_counts=counts, meta=ds.meta)
+
+
+class TestCaptionChecks:
+    """Captions are checked once, when a Dataset is built; a fault names its stimulus."""
+
+    @staticmethod
+    def _dataset():
         ds = synth_generate(small_cfg(text_tokens=3, text_dim=3))
-        i = [len(c) for c in ds.captions].index(1)
-        ds.captions[i] = [np.ones((4, 3))]
-        with pytest.raises(ShapeMismatch, match=rf"^stimulus {i}: captions have shape \(4, 3\), stimulus 0's have \(3, 3\)$"):
-            ds.text_targets()
+        starts = np.cumsum(ds.caption_counts) - ds.caption_counts
+        return ds, starts
+
+    def test_a_stimulus_without_captions(self):
+        ds, starts = self._dataset()
+        i = ds.caption_counts.tolist().index(2)
+        counts = ds.caption_counts.copy()
+        counts[i] = 0
+        captions = np.delete(ds.captions, [starts[i], starts[i] + 1], axis=0)
+        with pytest.raises(DegenerateInput) as expected:
+            ref.average_captions([])
+        with pytest.raises(DegenerateInput, match=rf"^stimulus {i}: {expected.value}$"):
+            _rebuilt(ds, captions, counts)
+
+    @pytest.mark.parametrize("where", ["first", "second_of_two", "last"])
+    def test_a_non_finite_caption(self, where):
+        ds, starts = self._dataset()
+        two = ds.caption_counts.tolist().index(2)
+        i, j = {"first": (0, 0), "second_of_two": (two, 1), "last": (ds.n - 1, ds.caption_counts[-1] - 1)}[where]
+        captions = ds.captions.copy()
+        captions[starts[i] + j, 1, 2] = np.inf
+        lists = ref.caption_lists(ds)
+        lists[i][j] = captions[starts[i] + j]
+        with pytest.raises(DegenerateInput) as expected:
+            ref.average_captions(lists[i])
+        with pytest.raises(DegenerateInput) as got:
+            _rebuilt(ds, captions, ds.caption_counts)
+        assert str(got.value) == f"stimulus {i}: {expected.value}"
+        assert str(got.value) == f"stimulus {i}: caption {j}: contains non-finite entries"
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_counts_that_do_not_add_up_to_the_rows(self, extra):
+        ds, _ = self._dataset()
+        counts = ds.caption_counts.copy()
+        counts[5] += extra
+        total = len(ds.captions) + extra
+        with pytest.raises(ShapeMismatch, match=rf"^caption_counts sum to {total}, but captions has {len(ds.captions)} rows$"):
+            _rebuilt(ds, ds.captions, counts)
+
+    def test_counts_not_one_per_stimulus(self):
+        ds, _ = self._dataset()
+        with pytest.raises(ShapeMismatch, match=rf"^caption_counts: expected shape \({ds.n},\), got \({ds.n - 1},\)$"):
+            _rebuilt(ds, ds.captions, ds.caption_counts[1:])
+
+    def test_captions_not_3d(self):
+        ds, _ = self._dataset()
+        rows = len(ds.captions)
+        with pytest.raises(ShapeMismatch, match=rf"^captions: expected a 3-D array .*, got shape \({rows}, 9\)$"):
+            _rebuilt(ds, ds.captions.reshape(rows, 9), ds.caption_counts)
+
+    def test_checked_arrays_are_float64_and_integer(self):
+        ds, _ = self._dataset()
+        lists = ref.caption_lists(ds)
+        rebuilt = _rebuilt(ds, [e.tolist() for c in lists for e in c], [len(c) for c in lists])
+        assert rebuilt.captions.dtype == np.float64 and rebuilt.caption_counts.dtype.kind == "i"
+        assert rebuilt.text_targets().tobytes() == ds.text_targets().tobytes()

@@ -4,6 +4,7 @@ import metrics_reference as ref
 import numpy as np
 import pytest
 
+from voxalign._arrays import first_constant_row
 from voxalign.errors import DegenerateInput, ShapeMismatch
 from voxalign.metrics import pixcorr, pixcorr_batch, ssim, ssim_batch, two_way_identification
 from voxalign.rng import Rng
@@ -227,3 +228,30 @@ class TestTwoWayIdentification:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             two_way_identification(np.ones((3, 2)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("name", ["preds", "truths"])
+    def test_constant_row_with_an_inexact_mean_rejected(self, name):
+        r = Rng(13, "tw")
+        rows = {"preds": r.child("p").normal(6, 12), "truths": r.child("t").normal(6, 12)}
+        rows[name][2] = 0.1
+        # Twelve 0.1 values centre to rounding residues, not to zeros.
+        assert np.linalg.norm(rows[name][2] - rows[name][2].mean()) > 0.0
+        with pytest.raises(DegenerateInput, match=f"^{name} row 2 has zero variance$"):
+            two_way_identification(rows["preds"], rows["truths"])
+        two_way_identification(rows["preds"], rows["truths"], similarity="cosine")  # a nonzero norm
+
+
+class TestFirstConstantRow:
+    def test_first_row_equal_to_its_first_entry(self):
+        m = Rng(14, "const").normal(5, 4)
+        assert first_constant_row(m) is None
+        m[3] = 0.1
+        m[1] = -2.0
+        assert first_constant_row(m) == 1
+
+    def test_one_column_rows_are_constant(self):
+        assert first_constant_row(np.ones((3, 1))) == 0
+
+    def test_non_finite_rows_are_not_constant(self):
+        m = np.array([[np.nan, np.nan], [1.0, 2.0], [np.inf, np.inf]])
+        assert first_constant_row(m) == 2

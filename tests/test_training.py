@@ -8,7 +8,7 @@ import loss_reference as ref
 import metrics_reference
 import training_reference
 from voxalign import training
-from voxalign.data import SynthConfig, split_regions, synth_generate
+from voxalign.data import SynthConfig, fuse_targets, split_regions, synth_generate
 from voxalign.errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch
 from voxalign.model import (
     SCORED_OUTPUTS,
@@ -251,7 +251,7 @@ class TestBatchedLossMatchesReference:
         by_path = ds.image_targets(2, 5, True)
         paths = image_paths(variant)
         targets = (
-            training.effective_image_target(variant, by_path)[rows],
+            fuse_targets(*(by_path[path] for path in paths))[rows],
             by_path["sem"][rows] if "sem" in paths else None,
             by_path["det"][rows] if "det" in paths else None,
         )
@@ -388,7 +388,7 @@ class TestEvaluate:
         assert sorted(calls) == ["pixcorr_batch", "ssim_batch"]
         te = ds.test_slice
         lo, hi = resolve_layer_range(cfg, ds.layers)
-        target = training.effective_image_target("full", ds.image_targets(lo, hi, True))[te]
+        target = fuse_targets(*ds.image_targets(lo, hi, True).values())[te]
         voxels_sem, voxels_det = split_regions(ds.voxels, ds.mask)
         pred = image_branch_forward(voxels_sem[te], voxels_det[te], params).pred_fused_emb
         assert metrics["pixcorr"] == metrics_reference.evaluate_pixcorr(pred, target)

@@ -327,8 +327,7 @@ def test_stacked_replay_matches_per_point_replay(seed):
             stack = _fd_stack(params.tensors[name])
             stacked = verification._forward(branch, _StackedParams.of(params, name, stack), voxels, masks=masks)
             for i, point in enumerate(stack):
-                swapped = params.copy()
-                swapped.tensors[name] = point
+                swapped = dataclasses.replace(params, tensors={**params.tensors, name: point})
                 single = verification._forward(branch, swapped, voxels, masks=masks)
                 for field in SCORED_OUTPUTS[branch]:
                     got = verification._rows(getattr(stacked, field), len(stack))[i]

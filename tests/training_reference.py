@@ -10,7 +10,7 @@ its parameter bytes and its history. Nothing in the library imports this
 module.
 """
 
-from voxalign.data import split_regions
+from voxalign.data import fuse_targets, split_regions
 from voxalign.model import (
     image_branch_backward,
     image_branch_forward,
@@ -24,7 +24,6 @@ from voxalign.rng import Rng
 from voxalign.training import (
     _batch_loss,
     _flat_training_state,
-    effective_image_target,
     resolve_layer_range,
 )
 
@@ -57,7 +56,7 @@ def train(dataset, model_cfg, cfg, variant="full"):
     if paths:
         by_path = dataset.image_targets(lo, hi, cfg.semantic_target_from_final)
         active = {path: by_path[path] for path in paths}
-        image_targets = (effective_image_target(variant, by_path), active.get("sem"), active.get("det"))
+        image_targets = (fuse_targets(*active.values()), active.get("sem"), active.get("det"))
 
     tr = dataset.train_slice
     te = dataset.test_slice
