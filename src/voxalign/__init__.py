@@ -66,7 +66,6 @@ from .model import (
     image_branch_forward,
     init_params,
     load_params,
-    mlp_block_forward,
     param_count,
     save_params,
     text_branch_backward,

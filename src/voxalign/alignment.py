@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -286,24 +285,3 @@ def _upper_ranks(rdm: Rdm, label: str) -> np.ndarray:
         raise DegenerateInput(f"{label}: all-equal RDM has no rank ordering")
     # Looked up on the module, where the benchmark's tracer counts rankings.
     return linalg.fractional_ranks(upper)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def write_square_csv(matrix, path) -> None:
-    """Write a square matrix (RDM or heatmap) as ``i,j,value`` rows."""
-    m = as_matrix(matrix, "matrix")
-    lines = ["i,j,value"]
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            lines.append(f"{i},{j},{_fmt(m[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_rsa_table_csv(rows: Sequence[RsaTableRow], path) -> None:
-    lines = ["region,layer,similarity"]
-    for row in rows:
-        lines.append(f"{row.region},{row.layer},{_fmt(row.similarity)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

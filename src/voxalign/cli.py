@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import logging
 import os
 import shutil
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import config as cfgmod
-from .alignment import layer_cka_heatmap, region_layer_rsa, write_rsa_table_csv, write_square_csv
+from .alignment import layer_cka_heatmap, region_layer_rsa
 from .data import Dataset, SynthConfig, load_dataset, save_dataset, split_regions, synth_generate
 from .errors import (
     DegenerateInput,
@@ -50,11 +51,9 @@ from .training import (
     TrainConfig,
     evaluate,
     layer_range_scan,
-    metrics_report_json,
     parse_scan_ranges,
     resolve_layer_range,
     run_ablation,
-    write_loss_history_csv,
 )
 from .verification import run_all
 
@@ -107,6 +106,23 @@ def _output_dir(path: str, force: bool):
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     shutil.rmtree(retired, ignore_errors=True)
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write a CSV report: floats (numpy's too) to nine significant digits, anything else with ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format(v, ".9g") if isinstance(v, float) else str(v) for v in row))
+    cfgmod.write_lines(path, lines)
+
+
+_METRICS_KEYS = ("variant", "seed", "pixcorr", "ssim", "two_way_image", "two_way_text", "loss_history_file")
+
+
+def _write_metrics(path: Path, variant: str, seed: int, metrics: dict, loss_history_file) -> None:
+    """Write ``metrics.json`` with its fixed key set, None for a metric that does not apply."""
+    given = {**metrics, "variant": variant, "seed": seed, "loss_history_file": loss_history_file}
+    cfgmod.write_lines(path, [json.dumps({key: given.get(key) for key in _METRICS_KEYS}, sort_keys=True, indent=2)])
 
 
 def _load_dataset_arg(path: str) -> Dataset:
@@ -164,11 +180,14 @@ def cmd_train(args, out: Path) -> int:
     save_params(params, ckpt_dir)
     targets = _eval_settings(train_cfg, dataset)
     cfgmod.write_resolved(targets, ckpt_dir / "targets.cfg")
-    write_loss_history_csv(report, out / "loss_history.csv")
-    (out / "metrics.json").write_text(
-        metrics_report_json(args.variant, args.seed, metrics, "loss_history.csv"),
-        encoding="utf-8",
-    )
+    history = [
+        (record["epoch"], split, component, record[split][component])
+        for record in report.history
+        for split in ("train", "val")
+        for component in sorted(record[split])
+    ]
+    _write_table(out / "loss_history.csv", "epoch,split,component,value", history)
+    _write_metrics(out / "metrics.json", args.variant, args.seed, metrics, "loss_history.csv")
     cfgmod.write_resolved(
         {
             **resolved,
@@ -207,9 +226,7 @@ def cmd_eval(args, out: Path) -> int:
     dataset = _load_dataset_arg(args.data)
     train_cfg = _checkpoint_train_cfg(ckpt_dir, args.seed)
     metrics = evaluate(params, dataset, train_cfg)
-    (out / "metrics.json").write_text(
-        metrics_report_json(params.variant, args.seed, metrics, None), encoding="utf-8"
-    )
+    _write_metrics(out / "metrics.json", params.variant, args.seed, metrics, None)
     cfgmod.write_resolved(
         {
             "ckpt": args.ckpt,
@@ -243,21 +260,20 @@ def cmd_analyze(args, out: Path) -> int:
         rows = region_layer_rsa(
             regions, dataset.layers, mode=settings.rsa_mode, ridge_lambda=settings.ridge_lambda,
         )
-        write_rsa_table_csv(rows, out / "rsa.csv")
         written = "rsa.csv"
+        _write_table(out / written, "region,layer,similarity", rows)
     elif args.mode == "cka-heatmap":
         heatmap = layer_cka_heatmap(dataset.layers)
-        write_square_csv(heatmap, out / "cka_heatmap.csv")
         written = "cka_heatmap.csv"
+        cells = ((i, j, value) for i, row in enumerate(heatmap) for j, value in enumerate(row))
+        _write_table(out / written, "i,j,value", cells)
     else:  # layer-scan
         ranges = parse_scan_ranges(settings.scan_ranges)
         rows = layer_range_scan(
             dataset, ranges, model_cfg, replace(train_cfg, epochs=settings.scan_epochs)
         )
-        lines = ["range,two_way_image"]
-        lines += [f"{label},{format(value, '.9g')}" for label, value in rows]
-        (out / "layer_scan.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         written = "layer_scan.csv"
+        _write_table(out / written, "range,two_way_image", rows)
 
     cfgmod.write_resolved(
         {**resolved, "seed": args.seed, "mode": args.mode, "data": args.data},
@@ -291,10 +307,11 @@ def cmd_backproject(args, out: Path) -> int:
 
     results = backproject(feature_sets, voxels_train, dataset.mask, args.lasso_lambda)
     for name, result in sorted(results.items()):
-        lines = ["region,mean_abs_beta"]
-        for region in ("low_level", "high_level"):
-            lines.append(f"{region},{format(result.region_means[region], '.9g')}")
-        (out / f"backproject_{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(
+            out / f"backproject_{name}.csv",
+            "region,mean_abs_beta",
+            ((region, result.region_means[region]) for region in ("low_level", "high_level")),
+        )
     cfgmod.write_resolved(
         {
             "ckpt": args.ckpt,

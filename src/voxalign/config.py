@@ -6,7 +6,8 @@ command writes the fully resolved configuration, defaults included, next
 to its outputs so a run is reconstructible from its output directory.
 Schemas are read off the config dataclasses, so each default lives only
 on its dataclass field, and each field declares the values it may take
-with :func:`setting`, checked by :func:`check_fields`.
+with :func:`setting`, checked by :func:`check_fields`. Every text file the
+package writes goes through :func:`write_lines`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ def read_text(path) -> str:
         raise FormatError(f"{p}: cannot read ({exc.strerror or exc})", offset=0) from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{p}: not UTF-8 text", offset=exc.start) from None
+
+
+def write_lines(path, lines) -> None:
+    """Write `lines` as UTF-8 text, each ending in a newline."""
+    Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
 def _parse_float(text: str) -> float:
@@ -176,5 +182,4 @@ def format_value(value) -> str:
 
 def write_resolved(resolved: dict, path) -> None:
     """Write the fully resolved configuration, sorted by key."""
-    lines = [f"{key}={format_value(resolved[key])}" for key in sorted(resolved)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [f"{key}={format_value(resolved[key])}" for key in sorted(resolved)])

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import LayerStack
-from .config import check_fields, format_value, read_config_file, read_text, setting
+from .config import check_fields, format_value, read_config_file, read_text, setting, write_lines, write_resolved
 from .errors import DegenerateInput, FormatError, RangeError, ShapeMismatch, UsageError
 from .matio import load_matrices, load_matrix, save_matrices, save_matrix
 from .rng import Rng
@@ -312,7 +312,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     save_matrix(dataset.voxels, root / "voxels.mat1")
-    (root / "mask.txt").write_text("\n".join(dataset.mask.labels) + "\n", encoding="utf-8")
+    write_lines(root / "mask.txt", dataset.mask.labels)
     layer_dir = root / "layers"
     layer_dir.mkdir(exist_ok=True)
     save_matrices(
@@ -330,8 +330,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
         for j in range(count)
     )
     save_matrices(zip(dataset.captions, caption_paths))
-    meta_lines = [f"{k}={dataset.meta[k]}" for k in sorted(dataset.meta)]
-    (root / "meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
+    write_resolved(dataset.meta, root / "meta.txt")
 
 
 def _project_layer(flat: np.ndarray, projection: np.ndarray, tokens: int) -> np.ndarray:

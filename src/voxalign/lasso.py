@@ -143,8 +143,8 @@ def lasso_fit(x, y, lam: float) -> LassoResult:
     if n < 2:
         raise DegenerateInput("lasso_fit requires at least 2 samples")
     lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
 
     x_std, means, scales = _standardize(xm)
     ym = ya.reshape(n, -1)

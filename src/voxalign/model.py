@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import as_matrix
-from .config import check_fields, read_config_file, read_text, resolve, setting, write_resolved
+from .config import check_fields, read_config_file, read_text, resolve, setting, write_lines, write_resolved
 from .data import SynthConfig, fuse_targets
 from .errors import (
     DegenerateInput,
@@ -280,43 +279,6 @@ def _apply_layer(x, weight, bias, rate, rng, masks, key, caches, residual, train
     return y
 
 
-def mlp_block_forward(x, weight, bias, dropout_rate, rng: Rng = None, mask=None):
-    """Single network block: ``dropout(relu(x W + b))`` plus a residual path
-    when the block preserves width.
-
-    Training mode is selected by passing `rng` (a fresh mask is drawn) or
-    `mask` (an inverted-dropout mask is replayed); with neither, the block
-    runs in inference mode, which applies no mask and no rescaling. Returns
-    the output and the mask used (None in inference).
-    """
-    xm = as_matrix(x, "x")
-    w = as_matrix(weight, "weight")
-    b = np.asarray(bias, dtype=np.float64)
-    if xm.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"x has {xm.shape[1]} columns, weight expects {w.shape[0]}")
-    if b.shape != (w.shape[1],):
-        raise ShapeMismatch(f"bias shape {b.shape}, expected ({w.shape[1]},)")
-    rate = float(dropout_rate)
-    if not 0.0 <= rate < 1.0:
-        raise DegenerateInput(f"dropout_rate must lie in [0, 1), got {rate}")
-    train = rng is not None or mask is not None
-    masks = None if mask is None else {"block": np.asarray(mask, dtype=np.float64)}
-    caches = {}
-    y = _apply_layer(
-        xm,
-        w,
-        b,
-        rate,
-        rng,
-        masks,
-        "block",
-        caches,
-        residual=w.shape[0] == w.shape[1],
-        train=train,
-    )
-    return y, caches["block"]["mask"]
-
-
 @dataclass
 class TextForward:
     """Text-branch activations for one batch (first axis is the sample)."""
@@ -559,7 +521,7 @@ def save_params(params: ModelParams, directory) -> None:
         filename = f"{name}.mat1"
         save_matrix(matrix, out / filename)
         manifest_lines.append(f"{name}={filename} {matrix.shape[0]} {matrix.shape[1]}")
-    (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    write_lines(out / "manifest.txt", manifest_lines)
     write_resolved({"variant": params.variant, **asdict(params.cfg)}, out / "model.cfg")
 
 

@@ -18,10 +18,8 @@ component sums always reproduce the totals.
 from __future__ import annotations
 
 import contextlib
-import json
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -273,8 +271,13 @@ def _flat_training_state(params: ModelParams):
 
 
 def train(dataset: Dataset, model_cfg: ModelConfig, cfg: TrainConfig, variant: str = "full"):
-    """Fit a model variant; returns final parameters and the epoch report."""
+    """Fit a model variant; returns final parameters and the epoch report.
+
+    ``full_no_crec`` trains ``full``'s network with ``weight_crec`` forced to zero.
+    """
     start = time.perf_counter()
+    if variant == "full_no_crec":
+        cfg = replace(cfg, weight_crec=0.0)
     _check_dims(dataset, model_cfg)
     targets = _targets(dataset, cfg, variant)
     branches = tuple(targets)
@@ -412,10 +415,9 @@ def run_ablation(variant: str, dataset: Dataset, model_cfg: ModelConfig, cfg: Tr
     """Train one structural variant and evaluate it.
 
     ``full_no_crec`` is exactly ``full`` with the reconstruction weight
-    forced to zero; other variants drop network paths entirely.
+    forced to zero (see :func:`train`); other variants drop network paths
+    entirely.
     """
-    if variant == "full_no_crec":
-        cfg = replace(cfg, weight_crec=0.0)
     params, report = train(dataset, model_cfg, cfg, variant=variant)
     metrics = evaluate(params, dataset, cfg)
     return params, report, metrics
@@ -469,23 +471,3 @@ def layer_range_scan(dataset: Dataset, ranges, model_cfg: ModelConfig, cfg: Trai
         rows.append((label, metrics["two_way_image"]))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
-
-
-_JSON_KEYS = ("variant", "seed", "pixcorr", "ssim", "two_way_image", "two_way_text", "loss_history_file")
-
-
-def metrics_report_json(variant, seed, metrics, loss_history_file) -> str:
-    """Serialize the metrics report with a fixed key set, byte-stable."""
-    given = {**metrics, "variant": variant, "seed": seed, "loss_history_file": loss_history_file}
-    return json.dumps({key: given.get(key) for key in _JSON_KEYS}, sort_keys=True, indent=2) + "\n"
-
-
-def write_loss_history_csv(report: TrainReport, path) -> None:
-    """Write ``epoch,split,component,value`` rows for every recorded value."""
-    lines = ["epoch,split,component,value"]
-    for record in report.history:
-        for split in ("train", "val"):
-            for component in sorted(record[split]):
-                value = record[split][component]
-                lines.append(f"{record['epoch']},{split},{component},{format(value, '.9g')}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,13 +12,15 @@ from voxalign.alignment import (
     rdm_from_features,
     region_layer_rsa,
     rsa,
-    write_rsa_table_csv,
-    write_square_csv,
 )
+from voxalign.cli import _write_table
 from voxalign.data import SynthConfig, synth_generate
 from voxalign.errors import DegenerateInput, RangeError, ShapeMismatch
 from voxalign.linalg import pearson, ridge_solve
 from voxalign.rng import Rng
+
+
+RSA_HEADER = "region,layer,similarity"
 
 
 def hsic_explicit_h(a, b):
@@ -287,7 +289,7 @@ class TestRegionLayerRsa:
 
     @pytest.mark.parametrize("n_train,n_test,seed", [(96, 32, 7), (288, 96, 1), (512, 64, 2)])
     def test_ridge_table_matches_scipy_cholesky_solve(self, monkeypatch, tmp_path, n_train, n_test, seed):
-        """The numpy solve writes the rsa.csv that scipy's cho_factor/cho_solve wrote."""
+        """The numpy solve gives the rsa.csv that scipy's cho_factor/cho_solve gave."""
         def scipy_ridge(x, y, lam):
             gram = x.T @ x + lam * np.eye(x.shape[1])
             factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
@@ -297,10 +299,10 @@ class TestRegionLayerRsa:
         regions = [("low_level", ds.voxels[:, ds.mask.low_indices]),
                    ("high_level", ds.voxels[:, ds.mask.high_indices])]
         for lam in (0.01, 1.0, 100.0):
-            write_rsa_table_csv(region_layer_rsa(regions, ds.layers, "ridge", lam), tmp_path / "numpy.csv")
+            _write_table(tmp_path / "numpy.csv", RSA_HEADER, region_layer_rsa(regions, ds.layers, "ridge", lam))
             with monkeypatch.context() as patched:
                 patched.setattr(alignment, "ridge_solve", scipy_ridge)
-                write_rsa_table_csv(region_layer_rsa(regions, ds.layers, "ridge", lam), tmp_path / "scipy.csv")
+                _write_table(tmp_path / "scipy.csv", RSA_HEADER, region_layer_rsa(regions, ds.layers, "ridge", lam))
             assert (tmp_path / "numpy.csv").read_text() == (tmp_path / "scipy.csv").read_text(), lam
 
     def test_all_equal_rdm_names_region(self):
@@ -352,9 +354,12 @@ class TestRegionLayerRsa:
 
 
 class TestCsvExports:
+    """The CLI's table writer on the rows of the alignment analyses."""
+
     def test_square_csv_format(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_square_csv(np.array([[1.0, 0.123456789123], [0.5, 1.0]]), path)
+        m = np.array([[1.0, 0.123456789123], [0.5, 1.0]])
+        _write_table(path, "i,j,value", ((i, j, m[i, j]) for i in range(2) for j in range(2)))
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,value"
         assert lines[1] == "0,0,1"
@@ -365,7 +370,7 @@ class TestCsvExports:
         stack = make_stack(seed=14)
         rows = region_layer_rsa([("high", stack.features[0])], stack, mode="raw")
         path = tmp_path / "rsa.csv"
-        write_rsa_table_csv(rows, path)
+        _write_table(path, RSA_HEADER, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "region,layer,similarity"
         assert len(lines) == 1 + len(rows)

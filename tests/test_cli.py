@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxalign.cli import main
+from voxalign.alignment import layer_cka_heatmap
+from voxalign.cli import _write_table, main
+from voxalign.data import load_dataset
 from voxalign.matio import load_matrix, save_matrix
 
 SMALL_GEN = """
@@ -440,6 +442,9 @@ class TestAnalyze:
         assert lines[0] == "i,j,value"
         diag = [l for l in lines[1:] if l.split(",")[0] == l.split(",")[1]]
         assert all(l.split(",")[2] == "1" for l in diag)
+        heatmap = layer_cka_heatmap(load_dataset(workspace / "data").layers)
+        n = heatmap.shape[0]
+        assert lines[1:] == [f"{i},{j},{format(float(heatmap[i, j]), '.9g')}" for i in range(n) for j in range(n)]
 
     def test_rsa_table(self, workspace):
         out = workspace / "rsa"
@@ -548,6 +553,13 @@ class TestBackproject:
         err = capsys.readouterr().err
         assert err.startswith("error: --lambda") and err.endswith(f", got {float(value)!r}\n")
         assert not (tmp_path / "bp").exists()
+
+
+def test_write_table_formats_floats_to_nine_digits(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(7, "low_level", 0.123456789123, np.float64(0.123456789123)), (10**12, "x", 1e-20, np.float64(2.0))]
+    _write_table(path, "a,b,c,d", rows)
+    assert path.read_bytes() == b"a,b,c,d\n7,low_level,0.123456789,0.123456789\n1000000000000,x,1e-20,2\n"
 
 
 def test_gradcheck_exit_zero(capsys):

@@ -333,6 +333,17 @@ class TestBatchedIOOracle:
         for d in (ds, loaded):
             assert d.text_targets().tobytes() == _caption_means(d).tobytes()
 
+    def test_text_files_match_the_per_file_writer(self, tmp_path):
+        # A loaded dataset's meta holds the strings read back from meta.txt.
+        save_dataset(make_stack_dataset(), tmp_path / "first")
+        loaded = load_dataset(tmp_path / "first")
+        save_dataset(loaded, tmp_path / "batched")
+        ref.save_dataset(loaded, tmp_path / "per_file")
+        for name in ("meta.txt", "mask.txt"):
+            written = (tmp_path / "batched" / name).read_bytes()
+            assert written == (tmp_path / "per_file" / name).read_bytes(), name
+            assert written == (tmp_path / "first" / name).read_bytes(), name
+
     def test_projection_matches_the_per_file_loader(self, tmp_path):
         ds = make_stack_dataset()
         root = tmp_path / "data"

@@ -92,9 +92,12 @@ class TestLassoFit:
         with pytest.raises(DegenerateInput, match="column 1"):
             lasso_fit(x, Rng(5, "lasso-c").normal(10), 0.1)
 
-    def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            lasso_fit(np.eye(3), np.ones(3), 0.0)
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+    def test_invalid_lambda(self, lam):
+        # A nan penalty passes a plain ``lam <= 0`` test and would sweep to the budget.
+        x = Rng(4, "lasso-lam").normal(40, 6)
+        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam!r}$"):
+            lasso_fit(x, Rng(5, "lasso-lam").normal(40), lam)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -265,6 +268,12 @@ class TestBackproject:
         sets = {"a": Rng(17, "bp").normal(20, 4), "b": Rng(19, "bp").normal(20, 3)}
         backproject(sets, Rng(18, "bp").normal(20, 5), mask, 0.1)
         assert calls == [(20, 7)]
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+    def test_invalid_lambda(self, lam):
+        mask = RegionMask.blocks(3, 2)
+        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam!r}$"):
+            backproject({"a": Rng(17, "bp").normal(20, 4)}, Rng(18, "bp").normal(20, 5), mask, lam)
 
     def test_feature_row_mismatch_names_the_set(self):
         mask = RegionMask.blocks(2, 2)

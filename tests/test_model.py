@@ -18,7 +18,6 @@ from voxalign.model import (
     image_branch_forward,
     init_params,
     load_params,
-    mlp_block_forward,
     param_count,
     save_params,
     text_branch_backward,
@@ -66,24 +65,36 @@ class TestInitParams:
         assert np.abs(w).max() <= bound
 
 
-class TestMlpBlock:
+def block(x, w, rate, rng=None, mask=None):
+    """One zero-bias block through ``_apply_layer``: residual when `w` is
+    square, training mode given an `rng` (fresh mask) or a `mask` (replay).
+    Returns the output and the mask used."""
+    caches = {}
+    train = rng is not None or mask is not None
+    masks = None if mask is None else {"block": mask}
+    residual = w.shape[0] == w.shape[1]
+    y = _apply_layer(x, w, np.zeros(w.shape[1]), rate, rng, masks, "block", caches, residual, train)
+    return y, caches["block"]["mask"]
+
+
+class TestApplyLayer:
     def test_residual_identity_with_zero_weights(self):
         x = Rng(8, "blk").normal(3, 4)
-        y, mask = mlp_block_forward(x, np.zeros((4, 4)), np.zeros(4), 0.0)
+        y, mask = block(x, np.zeros((4, 4)), 0.0)
         np.testing.assert_array_equal(y, x)
         assert mask is None
 
     def test_relu_kills_negative_preactivations(self):
         x = np.array([[1.0, 2.0]])
         w = -np.eye(2)
-        y, _ = mlp_block_forward(x, np.hstack([w, w]), np.zeros(4), 0.0)  # 2->4, no residual
+        y, _ = block(x, np.hstack([w, w]), 0.0)  # 2->4, no residual
         np.testing.assert_array_equal(y, np.zeros((1, 4)))
 
     def test_seeded_mask_positions(self):
         x = np.abs(Rng(9, "blk").normal(2, 6)) + 1.0
         w = np.eye(6)
-        y1, m1 = mlp_block_forward(x, w, np.zeros(6), 0.5, rng=Rng(3, "mask"))
-        y2, m2 = mlp_block_forward(x, w, np.zeros(6), 0.5, rng=Rng(3, "mask"))
+        y1, m1 = block(x, w, 0.5, rng=Rng(3, "mask"))
+        y2, m2 = block(x, w, 0.5, rng=Rng(3, "mask"))
         np.testing.assert_array_equal(m1, m2)
         np.testing.assert_array_equal(y1, y2)
         assert set(np.unique(m1)).issubset({0.0, 2.0})
@@ -92,23 +103,17 @@ class TestMlpBlock:
         # Monte Carlo over masks: inverted dropout is unbiased within 5%.
         x = np.abs(Rng(10, "blk").normal(1, 8)) + 0.5
         w = np.eye(8)
-        inference, _ = mlp_block_forward(x, w, np.zeros(8), 0.5)
+        inference, _ = block(x, w, 0.5)
         rng = Rng(11, "mc")
-        total = np.zeros_like(inference)
         draws = 10_000
-        for i in range(draws):
-            y, _ = mlp_block_forward(x, w, np.zeros(8), 0.5, rng=rng)
-        # direct vectorized equivalent of the loop above, kept for speed
-        mask = (rng.random(draws, 8) >= 0.5) * 2.0
-        relu_part = np.maximum(x @ w, 0.0)
-        mc = x + mask * relu_part  # residual block with dims equal
-        np.testing.assert_allclose(mc.mean(axis=0), inference[0], rtol=0.05)
+        training = np.concatenate([block(x, w, 0.5, rng=rng)[0] for _ in range(draws)])
+        np.testing.assert_allclose(training.mean(axis=0), inference[0], rtol=0.05)
 
     def test_mask_replay(self):
         x = Rng(12, "blk").normal(2, 3)
         w = Rng(13, "blk").normal(3, 3)
-        y1, m1 = mlp_block_forward(x, w, np.zeros(3), 0.5, rng=Rng(1, "m"))
-        y2, m2 = mlp_block_forward(x, w, np.zeros(3), 0.5, mask=m1)
+        y1, m1 = block(x, w, 0.5, rng=Rng(1, "m"))
+        y2, m2 = block(x, w, 0.5, mask=m1)
         np.testing.assert_array_equal(y1, y2)
         np.testing.assert_array_equal(m1, m2)
 
@@ -144,12 +149,12 @@ class TestReplayMaskMustMatch:
     """A replay mask must have the activations' exact shape; one that only broadcasts is rejected."""
 
     @pytest.mark.parametrize("bad", [lambda m: m[:1], lambda m: m[None]], ids=["one-row", "stack-axis"])
-    def test_mlp_block(self, bad):
+    def test_apply_layer(self, bad):
         x = Rng(18, "blk").normal(2, 3)
         w = Rng(19, "blk").normal(3, 3)
-        _, mask = mlp_block_forward(x, w, np.zeros(3), 0.5, rng=Rng(2, "m"))
+        _, mask = block(x, w, 0.5, rng=Rng(2, "m"))
         with pytest.raises(ShapeMismatch, match="mask for 'block'"):
-            mlp_block_forward(x, w, np.zeros(3), 0.5, mask=bad(mask))
+            block(x, w, 0.5, mask=bad(mask))
 
     @pytest.mark.parametrize("bad", [lambda m: m[:1], lambda m: m[None]], ids=["one-row", "stack-axis"])
     @pytest.mark.parametrize("branch", ["text", "image"])

@@ -7,8 +7,8 @@ import pytest
 import loss_reference as ref
 import metrics_reference
 import training_reference
-from voxalign import training
-from voxalign.data import SynthConfig, fuse_targets, split_regions, synth_generate
+from voxalign import cli, training
+from voxalign.data import SynthConfig, fuse_targets, save_dataset, split_regions, synth_generate
 from voxalign.errors import DegenerateInput, NumericalFailure, RangeError, ShapeMismatch
 from voxalign.model import (
     SCORED_OUTPUTS,
@@ -23,12 +23,10 @@ from voxalign.training import (
     TrainConfig,
     evaluate,
     layer_range_scan,
-    metrics_report_json,
     parse_scan_ranges,
     resolve_layer_range,
     run_ablation,
     train,
-    write_loss_history_csv,
 )
 
 SMALL_SYNTH = dict(
@@ -339,6 +337,18 @@ class TestVariants:
         assert report_fingerprint(report_a) == report_fingerprint(report_b)
         assert metrics_a == metrics_b
 
+    def test_train_zeroes_the_crec_weight_of_full_no_crec(self):
+        # A caller of train gets the model run_ablation trains, not one with cross-reconstruction.
+        ds = small_dataset()
+        cfg = small_model()
+        params_a, report_a, _ = run_ablation("full_no_crec", ds, cfg, small_train())
+        params_b, report_b = train(ds, cfg, small_train(), variant="full_no_crec")
+        assert report_fingerprint(report_a) == report_fingerprint(report_b)
+        for name in params_a.tensors:
+            assert params_a.tensors[name].tobytes() == params_b.tensors[name].tobytes()
+        crec = [record[split]["image_crec"] for record in report_b.history for split in ("train", "val")]
+        assert len(crec) == 6 and all(value == 0.0 for value in crec)
+
     def test_full_no_crec_leaves_decoders_untrained(self):
         ds = small_dataset()
         cfg = small_model()
@@ -423,21 +433,34 @@ class TestLayerScan:
 
 
 class TestReports:
+    """The reports the CLI writes for a training run."""
+
     def test_loss_history_csv_format(self, tmp_path):
         ds = small_dataset()
+        save_dataset(ds, tmp_path / "data")
+        (tmp_path / "train.cfg").write_text("epochs=2\nbatch_size=16\nlatent_dim=24\n")
+        assert cli.main(["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        text = (tmp_path / "run" / "loss_history.csv").read_text()
         _, report = train(ds, small_model(), small_train(epochs=2))
-        path = tmp_path / "history.csv"
-        write_loss_history_csv(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,split,component,value"
+        expected = ["epoch,split,component,value"] + [
+            f"{record['epoch']},{split},{component},{format(value, '.9g')}"
+            for record in report.history
+            for split in ("train", "val")
+            for component, value in sorted(record[split].items())
+        ]
+        assert text == "\n".join(expected) + "\n"
+        lines = text.splitlines()
         assert all(len(l.split(",")) == 4 for l in lines[1:])
         epochs = {l.split(",")[0] for l in lines[1:]}
         assert epochs == {"1", "2"}
 
-    def test_metrics_report_schema(self):
-        payload = json.loads(
-            metrics_report_json("full", 3, {"two_way_text": 51.0}, "loss.csv")
-        )
+    def test_metrics_report_schema(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        cli._write_metrics(path, "full", 3, {"two_way_text": 51.0}, "loss.csv")
+        text = path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert set(payload) == {
             "variant", "seed", "pixcorr", "ssim",
             "two_way_image", "two_way_text", "loss_history_file",
